@@ -9,9 +9,9 @@
 //     snapshot); cold: loadDesign() (full STA + extraction + image
 //     prewarm). Their ratio is the incremental-vs-full-refresh speedup.
 //   * query — an 8-endpoint prediction against the fresh snapshot. The
-//     model forward is the same engine and bundle on both paths, so this
-//     mostly floors the end-to-end ratio; it is reported (e2e fields) but
-//     not gated.
+//     incremental side refreshes the engine's GNN memo for the edit's
+//     fanout rows; the cold side's GNN forward ran in loadDesign()'s
+//     warm-up. It is reported (e2e fields) but not gated.
 //
 // Two gates (nonzero exit on failure):
 //   * parity — after every edit the incremental predictions must be

@@ -12,7 +12,8 @@ namespace dagt::core {
 /// where H is the design's heterogeneous pin graph and X the path-masked
 /// layout image set. The GNN runs once per design; the endpoint rows of a
 /// batch are then gathered and concatenated with the CNN embedding of each
-/// path's masked image.
+/// path's masked image. A batch carrying a precomputed GNN output skips
+/// the GNN and only selects its endpoint rows.
 class PathFeatureExtractor : public nn::Module {
  public:
   PathFeatureExtractor(std::int64_t pinFeatureDim, const ModelConfig& config,
@@ -23,6 +24,7 @@ class PathFeatureExtractor : public nn::Module {
 
   std::int64_t pathFeatureDim() const { return config_.pathFeatureDim(); }
   const ModelConfig& config() const { return config_; }
+  const TimingGnn& gnn() const { return gnn_; }
 
  private:
   ModelConfig config_;

@@ -22,6 +22,9 @@ class TimingModel {
   /// order. Deterministic across calls.
   virtual std::vector<float> predictDesign(
       const TimingDataset& dataset, const features::DesignData& design) = 0;
+  /// The path feature extractor (the serving engine runs its GNN once per
+  /// design snapshot and hands the output to later batches).
+  virtual const PathFeatureExtractor& extractor() const = 0;
 };
 
 /// The DAC'23 [4] baseline predictor: the multimodal path feature extractor
@@ -43,6 +46,7 @@ class Dac23Model : public TimingModel, public nn::Module {
   std::vector<float> predictDesign(const TimingDataset& dataset,
                                    const features::DesignData& design)
       override;
+  const PathFeatureExtractor& extractor() const override { return extractor_; }
 
  private:
   PathFeatureExtractor extractor_;
@@ -126,6 +130,7 @@ class OursModel : public TimingModel, public nn::Module {
   std::vector<float> predictDesign(const TimingDataset& dataset,
                                    const features::DesignData& design)
       override;
+  const PathFeatureExtractor& extractor() const override { return extractor_; }
 
   /// Monte-Carlo predictive distribution per endpoint: mean and standard
   /// deviation (ps) of \hat y over the sampled readout weights. The spread

@@ -22,6 +22,14 @@ namespace dagt::core {
 /// max-plus semantics of arrival propagation). The shared LayerNorm keeps
 /// the level-to-level recurrence contractive: without it, activations
 /// compound exponentially over the tens of logic levels of a deep design.
+///
+/// Because the sweep is levelized, a pin's embedding depends only on its
+/// own feature row and its fanin cone. forward() exploits that: given an
+/// earlier output over the same graph, it recomputes only the rows whose
+/// features changed plus their fanout, and shares every untouched level by
+/// handle. Every op on the path (GEMM, LayerNorm, gather, segment reduce)
+/// is row-independent under the kernel rounding contract, so an
+/// incremental forward is bitwise equal to a cold one.
 class TimingGnn : public nn::Module {
  public:
   TimingGnn(std::int64_t inputDim, std::int64_t hidden, Rng& rng);
@@ -31,11 +39,21 @@ class TimingGnn : public nn::Module {
   struct Output {
     std::vector<tensor::Tensor> levelEmbeddings;
     const features::PinGraph* graph = nullptr;
+    /// The pin features the embeddings were computed from (a shared
+    /// handle, not a copy): the diff base of a later incremental forward.
+    tensor::Tensor pinFeatures;
+    /// Rows this forward computed; numPins() for a cold forward.
+    std::int64_t rowsRecomputed = 0;
   };
 
-  /// pinFeatures: [numPins, inputDim] in pin-id order.
+  /// pinFeatures: [numPins, inputDim] in pin-id order. With `previous` (an
+  /// output over the same graph, inference only), a row is recomputed when
+  /// its feature row differs from previous->pinFeatures or any fanin
+  /// source was recomputed; all other rows and fully clean levels are
+  /// taken from `previous`. Without it every row is recomputed.
   Output forward(const features::PinGraph& graph,
-                 const tensor::Tensor& pinFeatures) const;
+                 const tensor::Tensor& pinFeatures,
+                 const Output* previous = nullptr) const;
 
   /// Rows of the per-level embeddings for the given pins: [pins.size(), D].
   static tensor::Tensor select(const Output& output,
@@ -44,6 +62,14 @@ class TimingGnn : public nn::Module {
   std::int64_t hidden() const { return hidden_; }
 
  private:
+  /// Embeddings of the given rows of `level` ([rows.size(), hidden]),
+  /// gathering fanin sources from the finished levels in `done`.
+  tensor::Tensor levelRows(const features::PinGraph& graph,
+                           std::int32_t level,
+                           const std::vector<std::int64_t>& rows,
+                           const tensor::Tensor& pinFeatures,
+                           const std::vector<tensor::Tensor>& done) const;
+
   std::int64_t inputDim_;
   std::int64_t hidden_;
   nn::Linear self_;
@@ -52,11 +78,6 @@ class TimingGnn : public nn::Module {
   nn::Linear cellSum_;
   nn::Linear cellMax_;
   nn::LayerNorm norm_;
-  // Combine sublayer (h + meanProj(aggMean) + maxProj(aggMax)) and the
-  // relu(norm(h)) tail, compiled per level width; the projections' weight
-  // pointers in the signature keep net and cell entries distinct.
-  mutable tensor::expr::ProgramCache combinePrograms_;
-  mutable tensor::expr::ProgramCache normPrograms_;
 };
 
 }  // namespace dagt::core

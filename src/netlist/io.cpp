@@ -1,5 +1,6 @@
 #include "netlist/io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -25,9 +26,12 @@ CellFunction parseFunction(const std::string& token) {
   DAGT_CHECK_MSG(false, "unknown cell function '" << token << "'");
 }
 
-/// Reads one non-empty, non-comment line; returns false at EOF.
-bool nextLine(std::istream& in, std::string& line) {
+/// Reads one non-empty, non-comment line; returns false at EOF. `lineNo`,
+/// when given, counts every physical line consumed (for located errors).
+bool nextLine(std::istream& in, std::string& line,
+              std::int64_t* lineNo = nullptr) {
   while (std::getline(in, line)) {
+    if (lineNo != nullptr) ++*lineNo;
     if (!line.empty() && line[0] != '#') return true;
   }
   return false;
@@ -159,7 +163,8 @@ void writeNetlistFile(const Netlist& nl, const std::string& path) {
 
 Netlist readNetlist(std::istream& in, const CellLibrary& library) {
   std::string line;
-  DAGT_CHECK_MSG(nextLine(in, line), "empty netlist file");
+  std::int64_t lineNo = 0;
+  DAGT_CHECK_MSG(nextLine(in, line, &lineNo), "empty netlist file");
   std::istringstream header(line);
   std::string magic, name, nodeName;
   header >> magic >> name >> nodeName;
@@ -168,14 +173,25 @@ Netlist readNetlist(std::istream& in, const CellLibrary& library) {
                  "netlist node " << nodeName << " does not match library");
 
   Netlist nl(&library, name);
-  while (nextLine(in, line)) {
+  bool ended = false;
+  while (nextLine(in, line, &lineNo)) {
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
-    if (tag == "end") break;
+    if (tag == "end") {
+      ended = true;
+      break;
+    }
+    // fail(), not just bad(): a token that does not parse as the expected
+    // number must not silently become 0.
+    const auto expectParsed = [&] {
+      DAGT_CHECK_MSG(!ls.fail(), "netlist line " << lineNo << ": malformed '"
+                                                 << line << "'");
+    };
     if (tag == "pi" || tag == "po") {
       float x = 0, y = 0;
       ls >> x >> y;
+      expectParsed();
       const PinId port =
           tag == "pi" ? nl.addPrimaryInput() : nl.addPrimaryOutput();
       nl.setPortLocation(port, {x, y});
@@ -183,22 +199,31 @@ Netlist readNetlist(std::istream& in, const CellLibrary& library) {
       std::string typeName;
       float x = 0, y = 0;
       ls >> typeName >> x >> y;
+      expectParsed();
       const CellTypeId type = library.findCellByName(typeName);
       DAGT_CHECK_MSG(type != kInvalidCellType,
-                     "library lacks cell '" << typeName << "'");
+                     "netlist line " << lineNo << ": library lacks cell '"
+                                     << typeName << "'");
       const CellId cell = nl.addCell(type);
       nl.setCellLocation(cell, {x, y});
     } else if (tag == "net") {
       PinId driver = kInvalidId;
       ls >> driver;
+      expectParsed();
       const NetId net = nl.addNet(driver);
       PinId sink = kInvalidId;
       while (ls >> sink) nl.connectSink(net, sink);
+      // The sink list ends at the end of the line, not at a bad token.
+      DAGT_CHECK_MSG(ls.eof(), "netlist line " << lineNo
+                                               << ": malformed sink in '"
+                                               << line << "'");
     } else {
-      DAGT_CHECK_MSG(false, "unexpected line '" << line << "'");
+      DAGT_CHECK_MSG(false, "netlist line " << lineNo << ": unexpected '"
+                                            << line << "'");
     }
-    DAGT_CHECK_MSG(!ls.bad(), "malformed line '" << line << "'");
   }
+  DAGT_CHECK_MSG(ended, "netlist has no 'end' line (truncated after line "
+                            << lineNo << ")");
   return nl;
 }
 

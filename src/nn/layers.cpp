@@ -58,6 +58,13 @@ Tensor Linear::forward(const Tensor& x) const {
   return body(x);
 }
 
+Tensor Linear::forwardEager(const Tensor& x) const {
+  DAGT_CHECK_MSG(x.ndim() == 2 && x.dim(1) == inFeatures_,
+                 "Linear: input [" << x.dim(0) << "," << x.dim(1)
+                                   << "] expected cols " << inFeatures_);
+  return body(x);
+}
+
 Mlp::Mlp(const std::vector<std::int64_t>& dims, Rng& rng,
          Activation hiddenActivation, Activation outputActivation) {
   DAGT_CHECK_MSG(dims.size() >= 2, "Mlp needs at least {in, out} dims");
@@ -98,6 +105,12 @@ Tensor LayerNorm::forward(const Tensor& x) const {
     });
     return program->runOne({x});
   }
+  return body(x);
+}
+
+Tensor LayerNorm::forwardEager(const Tensor& x) const {
+  DAGT_CHECK_MSG(x.ndim() == 2 && x.dim(1) == dim_,
+                 "LayerNorm: bad input shape");
   return body(x);
 }
 

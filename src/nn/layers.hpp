@@ -23,6 +23,10 @@ class Linear : public Module {
 
   /// x: [N, inFeatures] -> [N, outFeatures].
   tensor::Tensor forward(const tensor::Tensor& x) const;
+  /// forward() that never replays a compiled program: the eager op
+  /// sequence whatever the fusion switch says, so a row's result does not
+  /// depend on how many rows came with it.
+  tensor::Tensor forwardEager(const tensor::Tensor& x) const;
 
   std::int64_t inFeatures() const { return inFeatures_; }
   std::int64_t outFeatures() const { return outFeatures_; }
@@ -63,6 +67,8 @@ class LayerNorm : public Module {
   explicit LayerNorm(std::int64_t dim, float epsilon = 1e-5f);
 
   tensor::Tensor forward(const tensor::Tensor& x) const;
+  /// forward() without the compiled-program path (see Linear).
+  tensor::Tensor forwardEager(const tensor::Tensor& x) const;
 
  private:
   tensor::Tensor body(const tensor::Tensor& x) const;

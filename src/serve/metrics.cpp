@@ -40,6 +40,11 @@ std::string MetricsSnapshot::renderTable() const {
   table.addRow({"latency p95 (us)", TextTable::num(p95Us, 1)});
   table.addRow({"latency p99 (us)", TextTable::num(p99Us, 1)});
   table.addRow({"latency max (us)", TextTable::num(maxUs, 1)});
+  table.addRow({"gnn memo hits", std::to_string(gnnMemoHits)});
+  table.addRow({"gnn incremental refreshes",
+                std::to_string(gnnIncrementalRefreshes)});
+  table.addRow({"gnn full forwards", std::to_string(gnnFullForwards)});
+  table.addRow({"gnn rows recomputed", std::to_string(gnnRowsRecomputed)});
   if (whatifEdits > 0 || coneUpdates > 0) {
     table.addRow({"whatif edits", std::to_string(whatifEdits)});
     table.addRow({"whatif repredicts", std::to_string(whatifRepredicts)});
@@ -121,6 +126,10 @@ JsonValue MetricsSnapshot::toJson() const {
       .set("latency_p95_us", p95Us)
       .set("latency_p99_us", p99Us)
       .set("latency_max_us", maxUs)
+      .set("gnn_memo_hits", gnnMemoHits)
+      .set("gnn_incremental_refreshes", gnnIncrementalRefreshes)
+      .set("gnn_full_forwards", gnnFullForwards)
+      .set("gnn_rows_recomputed", gnnRowsRecomputed)
       .set("fusion_programs_compiled", fusionProgramsCompiled)
       .set("fusion_cache_hits", fusionCacheHits)
       .set("fusion_cache_misses", fusionCacheMisses)
@@ -191,6 +200,17 @@ void ServeMetrics::recordBatch(std::uint64_t coalescedSize) {
   coalesced_.fetch_add(coalescedSize, std::memory_order_relaxed);
 }
 
+void ServeMetrics::recordGnnMemoHit() {
+  gnnMemoHits_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ServeMetrics::recordGnnForward(bool incremental,
+                                    std::uint64_t rowsRecomputed) {
+  (incremental ? gnnIncrementalRefreshes_ : gnnFullForwards_)
+      .fetch_add(1, std::memory_order_relaxed);
+  gnnRowsRecomputed_.fetch_add(rowsRecomputed, std::memory_order_relaxed);
+}
+
 ServeMetrics::LatencyStripe& ServeMetrics::stripeForThisThread() {
   // Stable per-thread stripe choice: an engine worker always lands on the
   // same stripe, so its lock is effectively private (contended only by the
@@ -231,6 +251,11 @@ MetricsSnapshot ServeMetrics::snapshot(std::uint64_t cacheHits,
   snap.fullDesignRequests = fullDesignRequests_.load(std::memory_order_relaxed);
   snap.batches = batches_.load(std::memory_order_relaxed);
   const std::uint64_t coalesced = coalesced_.load(std::memory_order_relaxed);
+  snap.gnnMemoHits = gnnMemoHits_.load(std::memory_order_relaxed);
+  snap.gnnIncrementalRefreshes =
+      gnnIncrementalRefreshes_.load(std::memory_order_relaxed);
+  snap.gnnFullForwards = gnnFullForwards_.load(std::memory_order_relaxed);
+  snap.gnnRowsRecomputed = gnnRowsRecomputed_.load(std::memory_order_relaxed);
   snap.meanBatchSize =
       snap.batches == 0 ? 0.0
                         : static_cast<double>(coalesced) /

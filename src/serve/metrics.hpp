@@ -28,6 +28,14 @@ struct MetricsSnapshot {
   double p95Us = 0.0;
   double p99Us = 0.0;
   double maxUs = 0.0;
+  /// GNN memo (see PredictionEngine): GNN outputs served from the memo,
+  /// incremental refreshes after a feature-only snapshot change, full
+  /// forwards (new graph or cold memo), and rows the two kinds of forward
+  /// computed.
+  std::uint64_t gnnMemoHits = 0;
+  std::uint64_t gnnIncrementalRefreshes = 0;
+  std::uint64_t gnnFullForwards = 0;
+  std::uint64_t gnnRowsRecomputed = 0;
   /// What-if / incremental-update counters. The cone* fields come from the
   /// FeatureServices (aggregated like the cache counters); the whatif* and
   /// sta* fields are filled in by a WhatIfSession wrapping the engine.
@@ -106,6 +114,8 @@ class ServeMetrics {
   void recordFullDesign();
   void recordBatch(std::uint64_t coalescedSize);
   void recordLatencyUs(double us);
+  void recordGnnMemoHit();
+  void recordGnnForward(bool incremental, std::uint64_t rowsRecomputed);
 
   /// Percentiles are computed here (merged + sorted copy); call off the
   /// hot path. Cache counters are supplied by the caller (the
@@ -130,6 +140,10 @@ class ServeMetrics {
   std::atomic<std::uint64_t> fullDesignRequests_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> coalesced_{0};
+  std::atomic<std::uint64_t> gnnMemoHits_{0};
+  std::atomic<std::uint64_t> gnnIncrementalRefreshes_{0};
+  std::atomic<std::uint64_t> gnnFullForwards_{0};
+  std::atomic<std::uint64_t> gnnRowsRecomputed_{0};
 
   mutable std::array<LatencyStripe, kLatencyStripes> stripes_;
 };

@@ -133,10 +133,9 @@ std::int64_t PredictionEngine::loadDesign(const std::string& key,
                                              placementPath);
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
-    attachRetrievalLocked(key, ref);
-    designs_[key] = ref;
+    registerLocked(key, ref);
   }
-  warmFusionPrograms(ref);
+  warmUp(ref);
   return ref.design->numEndpoints();
 }
 
@@ -156,21 +155,33 @@ std::int64_t PredictionEngine::loadDesign(
                                                placement);
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
-    attachRetrievalLocked(key, ref);
-    designs_[key] = ref;
+    registerLocked(key, ref);
   }
-  warmFusionPrograms(ref);
+  warmUp(ref);
   return ref.design->numEndpoints();
 }
 
-void PredictionEngine::warmFusionPrograms(const DesignRef& ref) {
+void PredictionEngine::registerLocked(
+    const std::string& key, DesignRef& ref,
+    std::shared_ptr<retrieval::PredictionCache> shared) {
+  attachRetrievalLocked(key, ref, std::move(shared));
+  const auto it = designs_.find(key);
+  ref.gnn = it != designs_.end() && it->second.node == ref.node
+                ? it->second.gnn
+                : std::make_shared<GnnMemo>();
+  designs_[key] = ref;
+}
+
+void PredictionEngine::warmUp(const DesignRef& ref) {
+  tensor::NoGradGuard guard;
+  tensor::Workspace workspace;
+  const std::shared_ptr<const core::TimingGnn::Output> gnn = gnnFor(ref);
   if (!config_.warmFusion || !tensor::expr::fusionEnabled()) return;
   if (ref.design->numEndpoints() <= 0) return;
   DAGT_TRACE_SCOPE("serve/warm_fusion");
-  tensor::NoGradGuard guard;
-  tensor::Workspace workspace;
-  const core::DesignBatch batch =
+  core::DesignBatch batch =
       ref.design->dataset->batchFor(ref.design->data, {0});
+  batch.gnn = gnn;
   core::TimingModel& model = ref.node->bundle.model();
   if (auto* dac23 = dynamic_cast<core::Dac23Model*>(&model)) {
     (void)dac23->forwardBatch(batch);
@@ -220,10 +231,9 @@ void PredictionEngine::adoptDesign(
   ref.design = std::move(design);
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
-    attachRetrievalLocked(key, ref, std::move(cache));
-    designs_[key] = ref;
+    registerLocked(key, ref, std::move(cache));
   }
-  warmFusionPrograms(ref);
+  warmUp(ref);
 }
 
 void PredictionEngine::attachRetrievalLocked(
@@ -269,6 +279,35 @@ std::shared_ptr<retrieval::PredictionCache> PredictionEngine::retrievalCache(
   std::lock_guard<std::mutex> lock(designsMutex_);
   const auto it = designs_.find(key);
   return it == designs_.end() ? nullptr : it->second.retrieval;
+}
+
+std::shared_ptr<const core::TimingGnn::Output> PredictionEngine::gnnFor(
+    const DesignRef& ref) {
+  const features::DesignData& data = ref.design->data;
+  GnnMemo& memo = *ref.gnn;
+  std::shared_ptr<const core::TimingGnn::Output> previous;
+  {
+    std::lock_guard<std::mutex> lock(memo.memoMutex);
+    if (memo.graph == data.graph) previous = memo.output;
+  }
+  if (previous != nullptr &&
+      previous->pinFeatures.sharesStorageWith(data.pinFeatures)) {
+    metrics_.recordGnnMemoHit();
+    return previous;
+  }
+  std::shared_ptr<const core::TimingGnn::Output> output;
+  {
+    DAGT_TRACE_SCOPE("model/gnn");
+    output = std::make_shared<const core::TimingGnn::Output>(
+        ref.node->bundle.model().extractor().gnn().forward(
+            *data.graph, data.pinFeatures, previous.get()));
+  }
+  metrics_.recordGnnForward(previous != nullptr,
+                            static_cast<std::uint64_t>(output->rowsRecomputed));
+  std::lock_guard<std::mutex> lock(memo.memoMutex);
+  memo.graph = data.graph;
+  memo.output = output;
+  return output;
 }
 
 PredictionEngine::DesignRef PredictionEngine::designRef(
@@ -374,10 +413,11 @@ void PredictionEngine::serveBatch(std::vector<RequestGroup> groups) {
       serveBatchRetrieval(groups, *ours, combined);
       return;
     }
-    const core::DesignBatch batch = [&] {
+    core::DesignBatch batch = [&] {
       DAGT_TRACE_SCOPE("serve/batch_assembly");
       return design.dataset->batchFor(design.data, combined);
     }();
+    batch.gnn = gnnFor(ref);
     // Batch-assembly contract: one masked image of the manifest's trained
     // resolution per coalesced endpoint (feature-width agreement).
     const std::int64_t res = ref.node->bundle.manifest().model.imageResolution;
@@ -470,8 +510,8 @@ void PredictionEngine::serveBatchRetrieval(
   const std::int64_t m = cache.embeddingDim();
   if (!needEmbed.empty()) {
     DAGT_TRACE_SCOPE("retrieval/embed");
-    const core::DesignBatch batch =
-        design.dataset->batchFor(design.data, needEmbed);
+    core::DesignBatch batch = design.dataset->batchFor(design.data, needEmbed);
+    batch.gnn = gnnFor(ref);
     const tensor::Tensor joint = ours.embed(batch);
     DAGT_DCHECK(joint.dim(1) == m);
     const float* rows = joint.data();

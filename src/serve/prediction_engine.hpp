@@ -39,7 +39,8 @@ struct EngineConfig {
   std::int32_t mcSamples = 8;
   /// Precompile the design's fused forward programs at loadDesign time
   /// (one single-endpoint warm forward), so the first real query replays
-  /// cached programs instead of paying the expr/compile cost inline.
+  /// cached programs instead of paying the expr/compile cost inline. The
+  /// design's GNN memo is filled at load time either way.
   bool warmFusion = true;
   /// Learned prediction cache (uncertainty-gated ANN retrieval over the
   /// model's disentangled embeddings). Off by default; every knob comes
@@ -56,6 +57,13 @@ struct EngineConfig {
 /// feature-cached) once and then queried by key. Concurrent single-endpoint
 /// and batch queries on the same design are coalesced into tensor-level
 /// batches by a background batcher, bounded by maxBatch / maxWaitUs.
+///
+/// The GNN half of the extractor depends only on the design snapshot, so
+/// the engine memoizes its per-level embeddings per design key: a repeat
+/// query on the same snapshot skips the GNN, and a what-if snapshot that
+/// kept the pin graph (applyConeUpdate, installSnapshot) refreshes only the
+/// rows downstream of changed pin features. The refresh is bitwise equal
+/// to a cold forward (see core::TimingGnn).
 ///
 /// Determinism contract: predictDesign() reproduces the trainer's
 /// predictDesign() bit-for-bit (same full-design batch, same per-design
@@ -163,9 +171,20 @@ class PredictionEngine {
     ModelBundle bundle;
     std::unique_ptr<FeatureService> features;
   };
+  /// Per-design-key memo of the GNN output. Holds the pin graph and the
+  /// output (which holds its feature tensor), never the snapshot itself,
+  /// so a replaced snapshot is freed as soon as its queries finish.
+  struct GnnMemo {
+    std::mutex memoMutex;
+    std::shared_ptr<const features::PinGraph> graph;  // GUARDED_BY(memoMutex)
+    // GUARDED_BY(memoMutex)
+    std::shared_ptr<const core::TimingGnn::Output> output;
+  };
   struct DesignRef {
     NodeEntry* node = nullptr;
     std::shared_ptr<const ServableDesign> design;
+    /// Shared by every ref to the key; kept across snapshot swaps.
+    std::shared_ptr<GnnMemo> gnn;
     /// Per-design learned prediction cache; null unless the retrieval
     /// layer is enabled and the bundle has a Bayesian head. Survives
     /// revision re-loads (the embedding space is the model's) and may be
@@ -180,10 +199,21 @@ class PredictionEngine {
   };
 
   DesignRef designRef(const std::string& key) const;
-  /// One single-endpoint warm forward so the design's fused programs are
-  /// compiled (and cached) before real traffic arrives. No-op when
-  /// warmFusion is off or fusion is disabled.
-  void warmFusionPrograms(const DesignRef& ref);
+  /// Route `key` to `ref` while holding designsMutex_: attaches the
+  /// retrieval cache (`shared` overrides with another engine's) and the
+  /// GNN memo (kept when the key is re-loaded on the same bundle).
+  void registerLocked(const std::string& key, DesignRef& ref,
+                      std::shared_ptr<retrieval::PredictionCache> shared =
+                          nullptr);
+  /// Fill the design's GNN memo, then (warmFusion on and fusion enabled)
+  /// one single-endpoint warm forward so the design's fused programs are
+  /// compiled (and cached) before real traffic arrives.
+  void warmUp(const DesignRef& ref);
+  /// The GNN output for ref's snapshot: the memo when it was computed from
+  /// the same graph and feature storage, an incremental refresh when only
+  /// the features moved, a full forward otherwise. The forward runs outside
+  /// the memo lock; the result replaces the memo.
+  std::shared_ptr<const core::TimingGnn::Output> gnnFor(const DesignRef& ref);
   /// Run one forward over the union of the groups' endpoints and fulfill
   /// their promises. noexcept-ish: failures land in the promises.
   void serveBatch(std::vector<RequestGroup> groups);

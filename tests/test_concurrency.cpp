@@ -20,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -33,6 +34,8 @@
 #include "features/design_data.hpp"
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_engine.hpp"
+#include "sta/netlist_edits.hpp"
+#include "sta/sta_engine.hpp"
 #include "tensor/expr.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/storage.hpp"
@@ -239,6 +242,83 @@ TEST(ConcurrencyStress, RegistryMutationDuringQueries) {
 
   const MetricsSnapshot snap = engine->metrics();
   EXPECT_GT(snap.cacheHits, 0u);  // the revision "r1" re-loads must hit
+}
+
+TEST(ConcurrencyStress, GnnMemoRefreshRacesSnapshotSwaps) {
+  // Readers query one design while a writer swaps its snapshot between
+  // what-if edits (applyConeUpdate: same pin graph, new features) and the
+  // base (installSnapshot, the revert path). Every batch refreshes or
+  // reuses the design's GNN memo; TSan judges the memo handoff.
+  ThreadCountGuard guard(4);
+  auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8);
+  const features::DesignData& reference = target7();
+  const std::int64_t endpointCount = engine->loadDesign(
+      "smallboom", reference.netlist, reference.node, reference.placement,
+      "base");
+  const std::shared_ptr<const ServableDesign> base =
+      engine->currentSnapshot("smallboom");
+  const std::vector<std::int64_t> probe = {0, endpointCount / 2,
+                                           endpointCount - 1};
+  const std::vector<float> before = engine->predictEndpoints("smallboom", probe);
+
+  // Two non-structural edits (one cell resized each). Every pin is listed
+  // dirty: a superset is allowed and keeps the test free of STA plumbing.
+  std::vector<FeatureService::ConeUpdate> edits;
+  for (netlist::CellId c = 0;
+       c < reference.netlist.numCells() && edits.size() < 2; ++c) {
+    const netlist::CellTypeId bigger =
+        sta::upsizedVariant(reference.netlist, c);
+    if (bigger == netlist::kInvalidCellType) continue;
+    netlist::Netlist edited = reference.netlist;
+    edited.resizeCell(c, bigger);
+    sta::TimingResult timing = sta::StaEngine::run(
+        edited, nullptr,
+        sta::RouteConfig{sta::WireModel::kPreRouting, 0.0f, 0.0f});
+    std::vector<netlist::PinId> allPins(
+        static_cast<std::size_t>(edited.numPins()));
+    std::iota(allPins.begin(), allPins.end(), netlist::PinId{0});
+    edits.push_back(FeatureService::ConeUpdate{
+        std::move(edited), reference.node, reference.placement,
+        std::move(timing), std::move(allPins), {}, false});
+    c += 7;  // the second edit lands elsewhere in the design
+  }
+  ASSERT_EQ(edits.size(), 2u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::int64_t e = r;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::vector<std::int64_t> query = {e % endpointCount,
+                                                 (e * 7 + 1) % endpointCount};
+        for (const float v : engine->predictEndpoints("smallboom", query)) {
+          if (!std::isfinite(v)) failed = true;
+        }
+        ++e;
+      }
+    });
+  }
+  for (int round = 0; round < 6; ++round) {
+    engine->applyConeUpdate("smallboom", "edit" + std::to_string(round),
+                            edits[static_cast<std::size_t>(round % 2)]);
+    engine->predictEndpoint("smallboom", 0);
+    engine->installSnapshot("smallboom", "base", base);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
+
+  // Back on the base snapshot, whatever the memo went through in between.
+  const std::vector<float> after = engine->predictEndpoints("smallboom", probe);
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                        before.size() * sizeof(float)),
+            0);
+  const MetricsSnapshot snap = engine->metrics();
+  EXPECT_GT(snap.gnnIncrementalRefreshes, 0u);
+  EXPECT_EQ(snap.gnnFullForwards, 1u);  // one pin graph throughout
 }
 
 // -- Tensor-layer stress -----------------------------------------------------

@@ -173,6 +173,127 @@ TEST(TimingGnn, SelectReturnsEndpointRows) {
   }
 }
 
+/// Shift every parameter of `module` off its initial value: untrained
+/// Linear/LayerNorm biases are all zero, which hides any path that forgets
+/// to add one.
+void perturbParameters(const nn::Module& module, std::uint64_t seed) {
+  Rng rng(seed);
+  for (Tensor p : module.parameters()) {
+    for (std::int64_t i = 0; i < p.numel(); ++i) {
+      p.data()[i] += static_cast<float>(rng.normal(0.0, 0.2));
+    }
+  }
+}
+
+/// Every level of two GNN outputs, bit for bit.
+void expectSameLevels(const TimingGnn::Output& a, const TimingGnn::Output& b) {
+  ASSERT_EQ(a.levelEmbeddings.size(), b.levelEmbeddings.size());
+  for (std::size_t l = 0; l < a.levelEmbeddings.size(); ++l) {
+    const Tensor& x = a.levelEmbeddings[l];
+    const Tensor& y = b.levelEmbeddings[l];
+    ASSERT_EQ(x.shape(), y.shape()) << "level " << l;
+    ASSERT_EQ(std::memcmp(x.data(), y.data(),
+                          static_cast<std::size_t>(x.numel()) * sizeof(float)),
+              0)
+        << "level " << l;
+  }
+}
+
+/// The kernel tiers an incremental forward must match a cold one at.
+std::vector<tensor::kernels::Tier> parityTiers() {
+  tensor::kernels::resetTier();
+  std::vector<tensor::kernels::Tier> tiers = {tensor::kernels::Tier::kScalar};
+  if (tensor::kernels::activeTier() != tensor::kernels::Tier::kScalar) {
+    tiers.push_back(tensor::kernels::activeTier());
+  }
+  return tiers;
+}
+
+TEST(TimingGnn, IncrementalForwardMatchesColdBitwise) {
+  const auto& d = target7();
+  Rng rng(10);
+  TimingGnn gnn(d.pinFeatures.dim(1), 16, rng);
+  perturbParameters(gnn, 11);
+  tensor::NoGradGuard noGrad;
+  for (const auto tier : parityTiers()) {
+    tensor::kernels::forceTier(tier);
+    const TimingGnn::Output base = gnn.forward(*d.graph, d.pinFeatures);
+    EXPECT_EQ(base.rowsRecomputed, d.graph->numPins());
+
+    // Same feature storage: nothing to recompute, every level shared.
+    const TimingGnn::Output same =
+        gnn.forward(*d.graph, d.pinFeatures, &base);
+    EXPECT_EQ(same.rowsRecomputed, 0);
+    for (std::size_t l = 0; l < base.levelEmbeddings.size(); ++l) {
+      EXPECT_TRUE(same.levelEmbeddings[l].sharesStorageWith(
+          base.levelEmbeddings[l]));
+    }
+
+    // A few edited rows: only their fanout is recomputed, and the result
+    // equals a cold forward over the edited features.
+    Tensor edited = d.pinFeatures.clone();
+    const std::int64_t width = edited.dim(1);
+    for (const std::int64_t pin : {std::int64_t{3}, d.graph->numPins() / 2}) {
+      edited.data()[pin * width] += 1.0f;
+    }
+    const TimingGnn::Output incremental =
+        gnn.forward(*d.graph, edited, &base);
+    EXPECT_GT(incremental.rowsRecomputed, 0);
+    EXPECT_LT(incremental.rowsRecomputed, d.graph->numPins());
+    expectSameLevels(incremental, gnn.forward(*d.graph, edited));
+  }
+  tensor::kernels::resetTier();
+}
+
+TEST(TimingGnn, IncrementalRowsGetBiasesOfEdgeTypesTheyLack) {
+  // Level 1 mixes a cell output (only cell fanin) with a cell input (only
+  // net fanin). A cold forward projects both edge types' aggregates for
+  // every row of the level, so each row also gets the biases of the
+  // projections of the type it has no fanin of. Recomputing one row alone
+  // must add them too.
+  const auto lib = netlist::CellLibrary::makeNode(netlist::TechNode::k7nm);
+  netlist::Netlist nl(&lib, "mixed_level");
+  const netlist::PinId pi = nl.addPrimaryInput();
+  const netlist::CellTypeId inv = lib.findCell(netlist::CellFunction::kInv, 1);
+  const netlist::CellTypeId buf = lib.findCell(netlist::CellFunction::kBuf, 1);
+  ASSERT_NE(inv, netlist::kInvalidCellType);
+  ASSERT_NE(buf, netlist::kInvalidCellType);
+  const netlist::CellId floating = nl.addCell(inv);  // input left undriven
+  const netlist::CellId driven = nl.addCell(buf);
+  nl.connectSink(nl.addNet(pi), nl.cell(driven).inputPins.front());
+  nl.connectSink(nl.addNet(nl.cell(floating).outputPin), nl.addPrimaryOutput());
+  nl.connectSink(nl.addNet(nl.cell(driven).outputPin), nl.addPrimaryOutput());
+  const features::PinGraph graph(nl);
+
+  const netlist::PinId cellOnly = nl.cell(floating).outputPin;
+  const netlist::PinId netOnly = nl.cell(driven).inputPins.front();
+  const std::int32_t level = graph.locate(cellOnly).first;
+  ASSERT_EQ(graph.locate(netOnly).first, level);
+  ASSERT_GT(graph.netEdgesInto(level).size(), 0u);
+  ASSERT_GT(graph.cellEdgesInto(level).size(), 0u);
+
+  Rng rng(12);
+  constexpr std::int64_t kDim = 6;
+  TimingGnn gnn(kDim, 8, rng);
+  perturbParameters(gnn, 13);
+  const Tensor features = Tensor::randn({graph.numPins(), kDim}, rng);
+  tensor::NoGradGuard noGrad;
+  for (const auto tier : parityTiers()) {
+    tensor::kernels::forceTier(tier);
+    const TimingGnn::Output base = gnn.forward(graph, features);
+    for (const netlist::PinId pin : {cellOnly, netOnly}) {
+      Tensor edited = features.clone();
+      edited.data()[pin * kDim] += 0.5f;
+      const TimingGnn::Output incremental = gnn.forward(graph, edited, &base);
+      // The level holds two rows; only the edited one is recomputed there.
+      ASSERT_EQ(graph.pinsAtLevel(level).size(), 2u);
+      EXPECT_LT(incremental.rowsRecomputed, graph.numPins());
+      expectSameLevels(incremental, gnn.forward(graph, edited));
+    }
+  }
+  tensor::kernels::resetTier();
+}
+
 TEST(Dataset, BatchShapesAndLabelScale) {
   const auto& d = target7();
   TimingDataset ds({&d});

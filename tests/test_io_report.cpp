@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "designgen/design_suite.hpp"
@@ -136,6 +139,85 @@ TEST(NetlistIo, ReaderChecksLibraryNode) {
   std::stringstream buffer;
   netlist::io::writeNetlist(original, buffer);
   EXPECT_THROW(netlist::io::readNetlist(buffer, lib130), CheckError);
+}
+
+/// A small placed netlist in interchange form, edited by `mutate` (line
+/// text -> replacement; return the line unchanged to keep it), then read
+/// back. Returns the reader's error, "" when it accepted the file.
+std::string readMutated(
+    const std::function<std::string(const std::string&)>& mutate) {
+  const CellLibrary lib = CellLibrary::makeNode(TechNode::k7nm);
+  const Netlist original = buildPlacedDesign(lib, "arm9", 0.1f);
+  std::stringstream written;
+  netlist::io::writeNetlist(original, written);
+  std::stringstream edited;
+  std::string line;
+  while (std::getline(written, line)) edited << mutate(line) << '\n';
+  try {
+    netlist::io::readNetlist(edited, lib);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `mutate` that applies `edit` to the first line starting with `prefix`.
+std::function<std::string(const std::string&)> firstLine(
+    const std::string& prefix,
+    std::function<std::string(const std::string&)> edit) {
+  auto done = std::make_shared<bool>(false);
+  return [=](const std::string& line) {
+    if (*done || line.rfind(prefix, 0) != 0) return line;
+    *done = true;
+    return edit(line);
+  };
+}
+
+TEST(NetlistIo, ReaderAcceptsUnmodifiedFile) {
+  EXPECT_EQ(readMutated([](const std::string& line) { return line; }), "");
+}
+
+TEST(NetlistIo, ReaderRejectsNonNumericNetDriver) {
+  // A driver that does not parse must not read as pin 0.
+  const std::string error = readMutated(firstLine(
+      "net ", [](const std::string& line) {
+        const std::size_t sinks = line.find(' ', 4);
+        return "net x" +
+               (sinks == std::string::npos ? "" : line.substr(sinks));
+      }));
+  EXPECT_NE(error.find("malformed 'net x"), std::string::npos) << error;
+}
+
+TEST(NetlistIo, ReaderRejectsNonNumericSink) {
+  const std::string error = readMutated(
+      firstLine("net ", [](const std::string& line) { return line + " y"; }));
+  EXPECT_NE(error.find("malformed sink"), std::string::npos) << error;
+}
+
+TEST(NetlistIo, ReaderRejectsFileWithoutEndLine) {
+  const std::string error = readMutated(
+      [](const std::string& line) { return line == "end" ? "" : line; });
+  EXPECT_NE(error.find("no 'end' line"), std::string::npos) << error;
+}
+
+TEST(NetlistIo, ReaderErrorNamesTheLine) {
+  // Comment and blank lines count: one of each follows the header.
+  std::int64_t written = 0;
+  std::int64_t badLine = 0;
+  const std::string error = readMutated([&](const std::string& line) {
+    if (line.rfind("dagtnl", 0) == 0) {
+      written += 3;
+      return line + "\n# comment\n";
+    }
+    ++written;
+    if (badLine != 0 || line.rfind("pi ", 0) != 0) return line;
+    badLine = written;
+    return std::string("pi 1.5 north");
+  });
+  ASSERT_GT(badLine, 3);
+  EXPECT_NE(error.find("netlist line " + std::to_string(badLine) + ":"),
+            std::string::npos)
+      << error;
 }
 
 // ---------------------------------------------------------------------------

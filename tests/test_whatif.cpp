@@ -35,6 +35,8 @@
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_engine.hpp"
 #include "sta/netlist_edits.hpp"
+#include "tensor/expr.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "whatif/whatif_session.hpp"
 
 namespace dagt::whatif {
@@ -83,6 +85,25 @@ const std::string& bundleDir() {
   return dir;
 }
 
+/// The same bundle with every parameter shifted off its initial value:
+/// the untrained bundle's Linear/LayerNorm biases are all zero, which
+/// would hide a recomputed row that misses one.
+const std::string& perturbedBundleDir() {
+  static std::string dir = [] {
+    const serve::ModelBundle bundle = serve::ModelBundle::load(bundleDir());
+    Rng rng(0x5eed);
+    for (tensor::Tensor p : bundle.model().module().parameters()) {
+      for (std::int64_t i = 0; i < p.numel(); ++i) {
+        p.data()[i] += static_cast<float>(rng.normal(0.0, 0.2));
+      }
+    }
+    const std::string d = bundleDir() + "_perturbed";
+    serve::ModelBundle::save(bundle.model(), bundle.manifest(), d);
+    return d;
+  }();
+  return dir;
+}
+
 /// A placed suite design plus an engine with the bundle registered.
 /// batching=false by default: caller-thread forwards with the design-keyed
 /// batch seed make repeated identical queries bitwise reproducible, which
@@ -95,7 +116,8 @@ struct SessionFixture {
   place::PlacementResult placement;
   serve::PredictionEngine engine;
 
-  explicit SessionFixture(const char* name = "or1200", bool batching = false)
+  explicit SessionFixture(const char* name = "or1200", bool batching = false,
+                          const std::string& bundle = bundleDir())
       : nl([&] {
           const auto& entry = suite.entry(name);
           return suite.buildNetlist(entry, lib);
@@ -109,7 +131,7 @@ struct SessionFixture {
     place::PlacerConfig placerConfig;
     placerConfig.seed ^= suite.entry(name).spec.seed;
     placement = place::Placer::place(nl, placerConfig);
-    engine.addBundleFromDir(bundleDir());
+    engine.addBundleFromDir(bundle);
   }
 };
 
@@ -314,6 +336,121 @@ TEST(WhatIfSession, MetricsExposeEditAndConeCounters) {
   EXPECT_TRUE(sawEdit);
   EXPECT_TRUE(sawSync);
   obs::TraceRegistry::global().setEnabled(false);
+}
+
+// -- GNN memo ----------------------------------------------------------------
+
+/// Runs at the scalar tier (true) and at the detected tier (false).
+class GnnMemoParity : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam()) {
+      tensor::kernels::forceTier(tensor::kernels::Tier::kScalar);
+    }
+  }
+  void TearDown() override { tensor::kernels::resetTier(); }
+};
+
+TEST_P(GnnMemoParity, EveryEditAndRevertMatchesColdEngineBitwise) {
+  SessionFixture f("or1200", /*batching=*/false, perturbedBundleDir());
+  serve::EngineConfig coldConfig;
+  coldConfig.batching = false;
+  serve::PredictionEngine cold(coldConfig);
+  cold.addBundleFromDir(perturbedBundleDir());
+
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  int coldSerial = 0;
+  const auto checkParity = [&](const char* what) {
+    std::vector<std::int64_t> all(
+        static_cast<std::size_t>(session.numEndpoints()));
+    std::iota(all.begin(), all.end(), std::int64_t{0});
+    const std::vector<float> served = session.predict(all);
+    cold.loadDesign("cold", session.netlist(), f.node, f.placement,
+                    "c" + std::to_string(coldSerial++));
+    expectBitwiseEqual(served, cold.predictEndpoints("cold", all), what);
+  };
+
+  const Rect die = f.placement.dieArea;
+  ASSERT_TRUE(session.resizeCell(findResizable(session.netlist()), true));
+  checkParity("after resize");
+  session.moveCell(findResizable(session.netlist(), 3),
+                   Point{die.hi.x, die.lo.y});
+  checkParity("after move");
+  const serve::MetricsSnapshot incremental = f.engine.metrics();
+  EXPECT_GE(incremental.gnnIncrementalRefreshes, 2u);
+  EXPECT_EQ(incremental.gnnFullForwards, 1u);  // the load-time warm-up
+
+  ASSERT_TRUE(session.insertBuffer(findBufferable(session.netlist())).inserted);
+  checkParity("after buffer insertion");
+  EXPECT_EQ(f.engine.metrics().gnnFullForwards, 2u);  // new pin graph
+
+  session.revert();
+  checkParity("after revert");
+  ASSERT_TRUE(session.resizeCell(findResizable(session.netlist(), 9), true));
+  checkParity("after resize past the revert");
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, GnnMemoParity, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "scalar"
+                                                          : "active");
+                         });
+
+TEST(GnnMemo, CountersTrackHitsRefreshesAndRows) {
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const std::int64_t pins = session.netlist().numPins();
+  serve::MetricsSnapshot snap = f.engine.metrics();
+  EXPECT_EQ(snap.gnnFullForwards, 1u);
+  EXPECT_EQ(snap.gnnRowsRecomputed, static_cast<std::uint64_t>(pins));
+
+  // Repeat queries on one snapshot skip the GNN.
+  session.predict({0, 1});
+  session.predict({2});
+  snap = f.engine.metrics();
+  EXPECT_EQ(snap.gnnMemoHits, 2u);
+  EXPECT_EQ(snap.gnnIncrementalRefreshes, 0u);
+
+  // A resize keeps the pin graph: one refresh of part of the rows.
+  ASSERT_TRUE(session.resizeCell(findResizable(session.netlist()), true));
+  session.predict({0});
+  snap = f.engine.metrics();
+  EXPECT_EQ(snap.gnnIncrementalRefreshes, 1u);
+  EXPECT_EQ(snap.gnnFullForwards, 1u);
+  EXPECT_GT(snap.gnnRowsRecomputed, static_cast<std::uint64_t>(pins));
+  EXPECT_LT(snap.gnnRowsRecomputed, static_cast<std::uint64_t>(2 * pins));
+
+  const std::string json = snap.toJson().dump();
+  for (const char* key : {"gnn_memo_hits", "gnn_incremental_refreshes",
+                          "gnn_full_forwards", "gnn_rows_recomputed"}) {
+    EXPECT_NE(json.find('"' + std::string(key) + '"'), std::string::npos)
+        << key;
+  }
+  EXPECT_NE(snap.renderTable().find("gnn memo hits"), std::string::npos);
+}
+
+TEST(GnnMemo, RepredictsCompileNoProgramsAfterWarmUp) {
+  // The GNN runs eagerly: its per-level row counts would each need a
+  // program, more than a 64-entry program cache holds. The rest of the
+  // forward replays programs compiled for the query shape at warm-up.
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const std::vector<std::int64_t> query = {0, 1, 2, 3, 4, 5, 6, 7};
+  session.predict(query);
+  const std::uint64_t compiled = tensor::expr::stats().programsCompiled;
+
+  const Rect die = f.placement.dieArea;
+  for (int edit = 0; edit < 6; ++edit) {
+    if (edit % 2 == 0) {
+      ASSERT_TRUE(
+          session.resizeCell(findResizable(session.netlist(), edit), true));
+    } else {
+      session.moveCell(findResizable(session.netlist(), edit),
+                       Point{die.lo.x + edit, die.hi.y - edit});
+    }
+    session.predict(query);
+  }
+  EXPECT_EQ(tensor::expr::stats().programsCompiled, compiled);
 }
 
 // -- Reader/writer stress (ThreadSanitizer target) ---------------------------

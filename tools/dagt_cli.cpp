@@ -35,10 +35,11 @@
 //       trainer's in-process predictions) and prints a summary; with it,
 //       serves the listed endpoints through the batching queue. Serving
 //       metrics are printed afterwards (--metrics-json writes them as
-//       JSON). Measured by bench_serve_throughput on the reference box
-//       (or1200, 408 endpoints): 225.3 QPS single-request, 891.9 QPS
-//       batched (3.96x). DAGT_RETRIEVAL=1 additionally fronts Bayesian
-//       bundles with the learned prediction cache (docs/retrieval.md).
+//       JSON). Measured by bench_serve_throughput on a 4-vCPU Xeon
+//       (or1200, 408 endpoints): 5028.5 QPS single-request, 1901.4 QPS
+//       batched with 8 callers. DAGT_RETRIEVAL=1 additionally fronts
+//       Bayesian bundles with the learned prediction cache
+//       (docs/retrieval.md).
 //
 //   dagt whatif <bundle> <netlist.dagtnl> <lib.dagtlib> [--pl F]
 //       [--edits FILE] [--repl] [--metrics-json F]
