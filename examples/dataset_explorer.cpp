@@ -39,9 +39,9 @@ int main() {
     // Timing-path cone sizes.
     std::size_t minCone = SIZE_MAX, maxCone = 0, sumCone = 0;
     for (const auto& path : d.paths()) {
-      minCone = std::min(minCone, path.conePins.size());
-      maxCone = std::max(maxCone, path.conePins.size());
-      sumCone += path.conePins.size();
+      minCone = std::min(minCone, path.conePins->size());
+      maxCone = std::max(maxCone, path.conePins->size());
+      sumCone += path.conePins->size();
     }
     std::printf("  fanin cones: min %zu, avg %zu, max %zu pins\n", minCone,
                 sumCone / d.paths().size(), maxCone);

@@ -9,6 +9,8 @@ namespace dagt {
 struct Point {
   float x = 0.0f;
   float y = 0.0f;
+
+  bool operator==(const Point&) const = default;
 };
 
 /// Manhattan (L1) distance — the routing-relevant metric.
@@ -20,6 +22,8 @@ inline float manhattan(const Point& a, const Point& b) {
 struct Rect {
   Point lo;
   Point hi;
+
+  bool operator==(const Rect&) const = default;
 
   float width() const { return hi.x - lo.x; }
   float height() const { return hi.y - lo.y; }

@@ -68,7 +68,8 @@ DesignData DataPipeline::buildCustom(
   data.preRouteArrivals = preTiming.endpointArrivals(data.netlist);
 
   data.pinFeatures = featureBuilder_->build(data.netlist, &preTiming);
-  data.setPaths(PathExtractor::extract(data.netlist, data.maps.get()));
+  data.pinBins = PathExtractor::pinBins(data.netlist, *data.maps);
+  data.setPaths(PathExtractor::extract(data.netlist, data.pinBins));
   data.stats = data.netlist.stats();
 
   // 4. Sign-off flow on a copy: timing optimization restructures the

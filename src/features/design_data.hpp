@@ -50,10 +50,14 @@ struct DesignData {
   /// non-structural edits). Immutable once built.
   std::shared_ptr<const PinGraph> graph;
   tensor::Tensor pinFeatures;  // [numPins, featureDim]
+  /// Flattened layout-grid bin of every pin (PathExtractor::pinBins), the
+  /// source of the paths' mask footprints. A what-if move copies it and
+  /// re-bins only the moved pins.
+  std::vector<std::int32_t> pinBins;
   /// One TimingPath per endpoint. Shared for the same reason as `graph`:
   /// when no pin moved, every cone and mask footprint is unchanged and
-  /// what-if snapshots alias one paths vector instead of deep-copying
-  /// ~1k small vectors per edit.
+  /// what-if snapshots alias one paths vector instead of copying ~1k
+  /// paths per edit.
   std::shared_ptr<const std::vector<TimingPath>> pathsPtr =
       std::make_shared<const std::vector<TimingPath>>();
 

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -13,8 +15,10 @@ namespace dagt::features {
 /// layout grid for CNN masking.
 struct TimingPath {
   netlist::PinId endpoint = netlist::kInvalidId;
-  /// Pins of the fanin cone (endpoint included), ascending pin id.
-  std::vector<netlist::PinId> conePins;
+  /// Pins of the fanin cone (endpoint included), ascending pin id. Shared
+  /// and immutable: membership depends only on connectivity, so every
+  /// snapshot of a non-structural what-if edit aliases the same cone.
+  std::shared_ptr<const std::vector<netlist::PinId>> conePins;
   /// Flattened layout-grid bins (gy * resolution + gx) touched by cone
   /// pins; sorted unique. Used to mask the layout image per path.
   std::vector<std::int32_t> maskBins;
@@ -23,16 +27,28 @@ struct TimingPath {
 /// Extracts Path(G) = {G'_i}: the fanin cone of every endpoint.
 class PathExtractor {
  public:
-  /// Cones for all endpoints (ordered like Netlist::endpoints()).
-  /// `maps` may be null to skip mask-bin computation.
-  static std::vector<TimingPath> extract(const netlist::Netlist& netlist,
-                                         const place::LayoutMaps* maps);
+  /// Flattened layout-grid bin (gy * resolution + gx) of one pin.
+  static std::int32_t pinBin(const netlist::Netlist& netlist,
+                             const place::LayoutMaps& maps,
+                             netlist::PinId pin);
+  /// pinBin() of every pin, indexed by pin id: the table mask footprints
+  /// are read from.
+  static std::vector<std::int32_t> pinBins(const netlist::Netlist& netlist,
+                                           const place::LayoutMaps& maps);
 
-  /// Cone of a single endpoint — the incremental path for what-if edits
-  /// that invalidate one endpoint's window without touching the rest.
-  static TimingPath extractOne(const netlist::Netlist& netlist,
-                               const place::LayoutMaps* maps,
-                               netlist::PinId endpoint);
+  /// Cones for all endpoints (ordered like Netlist::endpoints()), with
+  /// mask footprints read from `pinBins` (see pinBins()).
+  static std::vector<TimingPath> extract(const netlist::Netlist& netlist,
+                                         std::span<const std::int32_t> pinBins);
+
+  /// Updates `path.maskBins`, computed from the pin-bin table `oldBins`,
+  /// to the table `newBins` (cone membership is unchanged; the tables
+  /// differ at the moved pins): the old footprint, minus each moved pin's
+  /// old bin that no pin of the cone still maps to, plus each moved pin's
+  /// new bin. The result equals what extract() over `newBins` computes.
+  /// Returns whether the footprint changed.
+  static bool rebin(TimingPath& path, std::span<const std::int32_t> oldBins,
+                    std::span<const std::int32_t> newBins);
 
   /// Masked copy of the layout image for one path: bins outside the path's
   /// footprint are zeroed (with the footprint dilated by one bin so local

@@ -68,46 +68,60 @@ void writeLibraryFile(const CellLibrary& lib, const std::string& path) {
 
 CellLibrary readLibrary(std::istream& in) {
   std::string line;
-  DAGT_CHECK_MSG(nextLine(in, line), "empty library file");
+  std::int64_t lineNo = 0;
+  DAGT_CHECK_MSG(nextLine(in, line, &lineNo), "empty library file");
   std::istringstream header(line);
   std::string magic, nodeName;
   header >> magic >> nodeName;
-  DAGT_CHECK_MSG(magic == "dagtlib", "not a dagtlib file");
+  DAGT_CHECK_MSG(magic == "dagtlib",
+                 "library line " << lineNo << ": not a dagtlib file");
   const TechNode node = parseNode(nodeName);
 
-  DAGT_CHECK_MSG(nextLine(in, line), "missing wire line");
+  DAGT_CHECK_MSG(nextLine(in, line, &lineNo), "library has no wire line");
   std::istringstream wire(line);
   std::string wireTag;
   float res = 0, cap = 0, pitch = 0, slew = 0;
   wire >> wireTag >> res >> cap >> pitch >> slew;
-  DAGT_CHECK_MSG(wireTag == "wire", "malformed wire line");
+  // fail(), not just the tag: a number that does not parse must not
+  // silently read as 0.
+  DAGT_CHECK_MSG(!wire.fail() && wireTag == "wire",
+                 "library line " << lineNo << ": malformed wire line '"
+                                 << line << "'");
 
   std::vector<CellType> cells;
-  while (nextLine(in, line)) {
+  bool ended = false;
+  while (nextLine(in, line, &lineNo)) {
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
-    if (tag == "end") break;
-    DAGT_CHECK_MSG(tag == "cell", "unexpected line '" << line << "'");
+    if (tag == "end") {
+      ended = true;
+      break;
+    }
+    DAGT_CHECK_MSG(tag == "cell", "library line " << lineNo
+                                                  << ": unexpected '" << line
+                                                  << "'");
     CellType c;
     std::string fnName;
     int seq = 0;
     ls >> c.name >> fnName >> c.numInputs >> c.driveStrength >> c.inputCap >>
         c.driveRes >> c.intrinsicDelay >> c.slewSens >> c.slewIntrinsic >>
         c.slewRes >> c.area >> seq >> c.clkToQ;
-    DAGT_CHECK_MSG(!ls.fail(), "malformed cell line '" << line << "'");
+    DAGT_CHECK_MSG(!ls.fail(), "library line " << lineNo
+                                               << ": malformed cell line '"
+                                               << line << "'");
     c.function = parseFunction(fnName);
     c.node = node;
     c.isSequential = seq != 0;
     cells.push_back(std::move(c));
   }
+  DAGT_CHECK_MSG(ended, "library has no 'end' line (truncated after line "
+                            << lineNo << ")");
   return CellLibrary::assemble(node, std::move(cells), res, cap, pitch, slew);
 }
 
 CellLibrary readLibraryFile(const std::string& path) {
-  std::ifstream in(path);
-  DAGT_CHECK_MSG(in.good(), "cannot open " << path);
-  return readLibrary(in);
+  return readFromFile(path, [](std::istream& in) { return readLibrary(in); });
 }
 
 // ---------------------------------------------------------------------------
@@ -228,9 +242,8 @@ Netlist readNetlist(std::istream& in, const CellLibrary& library) {
 }
 
 Netlist readNetlistFile(const std::string& path, const CellLibrary& library) {
-  std::ifstream in(path);
-  DAGT_CHECK_MSG(in.good(), "cannot open " << path);
-  return readNetlist(in, library);
+  return readFromFile(
+      path, [&](std::istream& in) { return readNetlist(in, library); });
 }
 
 }  // namespace dagt::netlist::io

@@ -1,8 +1,9 @@
 #pragma once
 
-#include <iosfwd>
+#include <fstream>
 #include <string>
 
+#include "common/check.hpp"
 #include "netlist/cell_library.hpp"
 #include "netlist/netlist.hpp"
 
@@ -13,6 +14,20 @@
 /// Both formats are line-oriented and round-trip exact: reading a written
 /// file reproduces identical ids, connectivity and placement.
 namespace dagt::netlist::io {
+
+/// Opens `path` and runs `read(std::istream&)` on it. A CheckError from
+/// `read` is rethrown with the path prefixed, so every loader error names
+/// its file.
+template <typename Read>
+auto readFromFile(const std::string& path, Read&& read) {
+  std::ifstream in(path);
+  DAGT_CHECK_MSG(in.good(), "cannot open " << path);
+  try {
+    return read(in);
+  } catch (const CheckError& e) {
+    throw CheckError(path + ": " + e.what());
+  }
+}
 
 // -- Library (.dagtlib) ------------------------------------------------------
 

@@ -149,27 +149,26 @@ std::vector<PinId> Netlist::startpoints() const {
   return result;
 }
 
-std::vector<PinId> Netlist::timingFanin(PinId pinId) const {
+std::span<const PinId> Netlist::timingFanin(PinId pinId) const {
   const Pin& p = pin(pinId);
-  std::vector<PinId> fanin;
   switch (p.kind) {
     case PinKind::kPrimaryInput:
       break;  // startpoint
     case PinKind::kPrimaryOutput:
     case PinKind::kCellInput:
       if (p.net != kInvalidId) {
-        fanin.push_back(nets_[static_cast<std::size_t>(p.net)].driver);
+        return {&nets_[static_cast<std::size_t>(p.net)].driver, 1};
       }
       break;
     case PinKind::kCellOutput: {
       const Cell& c = cells_[static_cast<std::size_t>(p.cell)];
       if (!library_->cell(c.type).isSequential) {
-        fanin = c.inputPins;  // combinational arcs only
+        return c.inputPins;  // combinational arcs only
       }
       break;
     }
   }
-  return fanin;
+  return {};
 }
 
 std::vector<PinId> Netlist::topologicalPinOrder() const {

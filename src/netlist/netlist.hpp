@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,8 +99,9 @@ class Netlist {
   std::vector<PinId> topologicalPinOrder() const;
 
   /// Fanin pins of `pin` in the timing graph (net driver for inputs/POs,
-  /// the cell's combinational inputs for cell outputs).
-  std::vector<PinId> timingFanin(PinId pin) const;
+  /// the cell's combinational inputs for cell outputs). A view into the
+  /// netlist's own storage: valid until the netlist is next edited.
+  std::span<const PinId> timingFanin(PinId pin) const;
 
   /// Table-1 statistics.
   struct Stats {

@@ -26,10 +26,11 @@ void writeRect(std::ostream& out, const char* tag, const Rect& r) {
   out << buf << '\n';
 }
 
-Rect parseRect(std::istringstream& ls, const std::string& path) {
+Rect parseRect(std::istringstream& ls, const std::int64_t lineNo) {
   Rect r;
   ls >> r.lo.x >> r.lo.y >> r.hi.x >> r.hi.y;
-  DAGT_CHECK_MSG(!ls.fail(), path << ": malformed rect line");
+  DAGT_CHECK_MSG(!ls.fail(),
+                 "placement line " << lineNo << ": malformed rect line");
   return r;
 }
 
@@ -68,29 +69,33 @@ void writePlacementFile(const place::PlacementResult& placement,
 }
 
 place::PlacementResult readPlacementFile(const std::string& path) {
-  std::ifstream in(path);
-  DAGT_CHECK_MSG(in.good(), "cannot open " << path);
-  std::string line;
-  DAGT_CHECK_MSG(std::getline(in, line) && line.rfind("dagtpl 1", 0) == 0,
-                 path << " is not a dagtpl v1 placement file");
-  place::PlacementResult placement;
-  bool sawDie = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "die") {
-      placement.dieArea = parseRect(ls, path);
-      sawDie = true;
-    } else if (tag == "macro") {
-      placement.macros.push_back(parseRect(ls, path));
-    } else {
-      DAGT_CHECK_MSG(false, path << ": unknown line tag '" << tag << "'");
+  return netlist::io::readFromFile(path, [](std::istream& in) {
+    std::string line;
+    std::int64_t lineNo = 1;
+    DAGT_CHECK_MSG(std::getline(in, line) && line.rfind("dagtpl 1", 0) == 0,
+                   "not a dagtpl v1 placement file");
+    place::PlacementResult placement;
+    bool sawDie = false;
+    while (std::getline(in, line)) {
+      ++lineNo;
+      if (line.empty()) continue;
+      std::istringstream ls(line);
+      std::string tag;
+      ls >> tag;
+      if (tag == "die") {
+        placement.dieArea = parseRect(ls, lineNo);
+        sawDie = true;
+      } else if (tag == "macro") {
+        placement.macros.push_back(parseRect(ls, lineNo));
+      } else {
+        DAGT_CHECK_MSG(false, "placement line " << lineNo
+                                                << ": unknown line tag '"
+                                                << tag << "'");
+      }
     }
-  }
-  DAGT_CHECK_MSG(sawDie, path << " lacks a die line");
-  return placement;
+    DAGT_CHECK_MSG(sawDie, "placement file lacks a die line");
+    return placement;
+  });
 }
 
 FeatureService::FeatureService(const BundleManifest& manifest)
@@ -150,8 +155,8 @@ std::shared_ptr<const ServableDesign> FeatureService::build(
       sta::RouteConfig{sta::WireModel::kPreRouting, 0.0f, 0.0f});
   data.preRouteArrivals = preTiming.endpointArrivals(data.netlist);
   data.pinFeatures = featureBuilder_->build(data.netlist, &preTiming);
-  data.setPaths(
-      features::PathExtractor::extract(data.netlist, data.maps.get()));
+  data.pinBins = features::PathExtractor::pinBins(data.netlist, *data.maps);
+  data.setPaths(features::PathExtractor::extract(data.netlist, data.pinBins));
   data.stats = data.netlist.stats();
   data.labels.assign(data.paths().size(), 0.0f);  // unknown at serve time
 
@@ -246,9 +251,11 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
   ConeUpdateResult result;
 
   std::shared_ptr<const ServableDesign> prior = cached(key);
-  if (update.structural || prior == nullptr) {
-    // Pins/nets were added (or there is nothing to diff against): every
-    // cone and every mask footprint is suspect, so take the cold path.
+  if (update.structural || prior == nullptr ||
+      update.placement.dieArea != prior->data.placement.dieArea) {
+    // Pins/nets were added, the die (and with it every pin's bin) changed,
+    // or there is nothing to diff against: every cone and every mask
+    // footprint is suspect, so take the cold path.
     auto servable =
         build(std::move(update.netlist), update.node, update.placement);
     coneStructuralRebuilds_.fetch_add(1, std::memory_order_relaxed);
@@ -314,44 +321,35 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
 
   const std::size_t numPins = static_cast<std::size_t>(data.netlist.numPins());
   std::vector<std::uint8_t> dirtyPin(numPins, 0);
-  std::vector<std::uint8_t> movedPin(numPins, 0);
   for (const netlist::PinId p : update.dirtyPins) {
     dirtyPin[static_cast<std::size_t>(p)] = 1;
   }
   for (const netlist::PinId p : update.movedPins) {
-    movedPin[static_cast<std::size_t>(p)] = 1;
     dirtyPin[static_cast<std::size_t>(p)] = 1;
   }
 
-  // Cones: connectivity is unchanged, so cone membership carries over.
-  // Only a moved pin invalidates a path (its mask footprint shifted) —
-  // those are re-extracted with the single-endpoint extractor, which
-  // shares the batch extractor's body bit-for-bit. When nothing moved
-  // (resizes only — the common ECO), the whole paths vector is aliased.
+  // Cones: connectivity is unchanged, so cone membership carries over and
+  // every path shares its cone with the prior snapshot. Only a moved pin
+  // changes a footprint: the pin-bin table is patched at the moved pins and
+  // each cone holding one is re-binned from it, which equals a cold
+  // extraction bit for bit. When nothing moved (resizes only — the common
+  // ECO), the table and the whole paths vector carry over as they are.
   const auto& oldPaths = prior->data.paths();
   std::vector<std::uint8_t> maskStale(oldPaths.size(), 0);
   {
     DAGT_TRACE_SCOPE("serve/cone_paths");
+    data.pinBins = prior->data.pinBins;
     if (update.movedPins.empty()) {
       data.pathsPtr = prior->data.pathsPtr;
     } else {
-      std::vector<features::TimingPath> paths;
-      paths.reserve(oldPaths.size());
-      for (std::size_t i = 0; i < oldPaths.size(); ++i) {
-        bool moved = false;
-        for (const netlist::PinId p : oldPaths[i].conePins) {
-          if (movedPin[static_cast<std::size_t>(p)]) {
-            moved = true;
-            break;
-          }
-        }
-        if (moved) {
-          maskStale[i] = 1;
-          paths.push_back(features::PathExtractor::extractOne(
-              data.netlist, data.maps.get(), oldPaths[i].endpoint));
-        } else {
-          paths.push_back(oldPaths[i]);
-        }
+      for (const netlist::PinId p : update.movedPins) {
+        data.pinBins[static_cast<std::size_t>(p)] =
+            features::PathExtractor::pinBin(data.netlist, *data.maps, p);
+      }
+      std::vector<features::TimingPath> paths(oldPaths);
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        maskStale[i] = features::PathExtractor::rebin(
+            paths[i], prior->data.pinBins, data.pinBins);
       }
       data.setPaths(std::move(paths));
     }
@@ -437,7 +435,7 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
   }
   for (std::size_t i = 0; i < data.paths().size(); ++i) {
     if (endpointDirty[i]) continue;
-    for (const netlist::PinId p : data.paths()[i].conePins) {
+    for (const netlist::PinId p : *data.paths()[i].conePins) {
       if (dirtyPin[static_cast<std::size_t>(p)]) {
         endpointDirty[i] = 1;
         break;

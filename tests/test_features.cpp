@@ -130,13 +130,12 @@ TEST(PathExtractor, ConesContainEndpointAndReachStartpoints) {
   for (std::size_t i = 0; i < d.paths().size(); ++i) {
     const auto& path = d.paths()[i];
     EXPECT_EQ(path.endpoint, endpoints[i]);
-    EXPECT_TRUE(std::binary_search(path.conePins.begin(),
-                                   path.conePins.end(), path.endpoint));
+    const auto& cone = *path.conePins;
+    EXPECT_TRUE(std::binary_search(cone.begin(), cone.end(), path.endpoint));
     // Every cone pin's fanin must stay inside the cone (cone = closure).
-    for (const netlist::PinId p : path.conePins) {
+    for (const netlist::PinId p : cone) {
       for (const netlist::PinId f : d.netlist.timingFanin(p)) {
-        EXPECT_TRUE(std::binary_search(path.conePins.begin(),
-                                       path.conePins.end(), f))
+        EXPECT_TRUE(std::binary_search(cone.begin(), cone.end(), f))
             << "fanin " << f << " of " << p << " escapes the cone";
       }
     }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 
 #include "common/check.hpp"
 #include "designgen/design_suite.hpp"
@@ -141,18 +145,26 @@ TEST(NetlistIo, ReaderChecksLibraryNode) {
   EXPECT_THROW(netlist::io::readNetlist(buffer, lib130), CheckError);
 }
 
-/// A small placed netlist in interchange form, edited by `mutate` (line
-/// text -> replacement; return the line unchanged to keep it), then read
-/// back. Returns the reader's error, "" when it accepted the file.
-std::string readMutated(
-    const std::function<std::string(const std::string&)>& mutate) {
+using LineEdit = std::function<std::string(const std::string&)>;
+
+/// `text` with every line passed through `mutate` (line text ->
+/// replacement; return the line unchanged to keep it).
+std::string mutateLines(const std::string& text, const LineEdit& mutate) {
+  std::istringstream in(text);
+  std::ostringstream out;
+  std::string line;
+  while (std::getline(in, line)) out << mutate(line) << '\n';
+  return out.str();
+}
+
+/// A small placed netlist in interchange form, edited by `mutate`, then
+/// read back. Returns the reader's error, "" when it accepted the file.
+std::string readMutated(const LineEdit& mutate) {
   const CellLibrary lib = CellLibrary::makeNode(TechNode::k7nm);
   const Netlist original = buildPlacedDesign(lib, "arm9", 0.1f);
   std::stringstream written;
   netlist::io::writeNetlist(original, written);
-  std::stringstream edited;
-  std::string line;
-  while (std::getline(written, line)) edited << mutate(line) << '\n';
+  std::stringstream edited(mutateLines(written.str(), mutate));
   try {
     netlist::io::readNetlist(edited, lib);
   } catch (const CheckError& e) {
@@ -162,9 +174,7 @@ std::string readMutated(
 }
 
 /// `mutate` that applies `edit` to the first line starting with `prefix`.
-std::function<std::string(const std::string&)> firstLine(
-    const std::string& prefix,
-    std::function<std::string(const std::string&)> edit) {
+LineEdit firstLine(const std::string& prefix, LineEdit edit) {
   auto done = std::make_shared<bool>(false);
   return [=](const std::string& line) {
     if (*done || line.rfind(prefix, 0) != 0) return line;
@@ -218,6 +228,105 @@ TEST(NetlistIo, ReaderErrorNamesTheLine) {
   EXPECT_NE(error.find("netlist line " + std::to_string(badLine) + ":"),
             std::string::npos)
       << error;
+}
+
+/// The 7nm library in interchange form, edited by `mutate`, then read
+/// back. Returns the reader's error, "" when it accepted the file.
+std::string readLibraryMutated(const LineEdit& mutate) {
+  std::stringstream written;
+  netlist::io::writeLibrary(CellLibrary::makeNode(TechNode::k7nm), written);
+  std::stringstream edited(mutateLines(written.str(), mutate));
+  try {
+    netlist::io::readLibrary(edited);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Writes `text` to a per-test temporary file and returns its path.
+std::string writeTempFile(const std::string& name, const std::string& text) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       (name + "_" + std::to_string(::getpid())))
+          .string();
+  std::ofstream(path) << text;
+  return path;
+}
+
+TEST(LibraryIo, ReaderAcceptsUnmodifiedFile) {
+  EXPECT_EQ(readLibraryMutated([](const std::string& line) { return line; }),
+            "");
+}
+
+TEST(LibraryIo, ReaderRejectsNonNumericWireResistance) {
+  // A resistance that does not parse must not read as 0.
+  const std::string error = readLibraryMutated(
+      firstLine("wire ", [](const std::string& line) {
+        return "wire x" + line.substr(line.find(' ', 5));
+      }));
+  EXPECT_NE(error.find("malformed wire line 'wire x"), std::string::npos)
+      << error;
+}
+
+TEST(LibraryIo, ReaderRejectsFileWithoutEndLine) {
+  const std::string error = readLibraryMutated(
+      [](const std::string& line) { return line == "end" ? "" : line; });
+  EXPECT_NE(error.find("no 'end' line"), std::string::npos) << error;
+}
+
+TEST(LibraryIo, ReaderErrorNamesTheLine) {
+  // Header, a comment, the wire line, then the first cell line: line 4.
+  const auto breakFirstCell = firstLine("cell ", [](const std::string& line) {
+    return line.substr(0, line.rfind(' ')) + " late";  // clk->q unparsable
+  });
+  const std::string error =
+      readLibraryMutated([&](const std::string& line) {
+        if (line.rfind("dagtlib", 0) == 0) return line + "\n# comment";
+        return breakFirstCell(line);
+      });
+  EXPECT_NE(error.find("library line 4: malformed cell line"),
+            std::string::npos)
+      << error;
+}
+
+TEST(LibraryIo, FileReaderErrorNamesThePath) {
+  std::stringstream written;
+  netlist::io::writeLibrary(CellLibrary::makeNode(TechNode::k7nm), written);
+  const std::string path = writeTempFile(
+      "dagt_truncated.dagtlib",
+      mutateLines(written.str(), [](const std::string& line) {
+        return line == "end" ? "" : line;
+      }));
+  try {
+    netlist::io::readLibraryFile(path);
+    ADD_FAILURE() << "truncated library accepted";
+  } catch (const CheckError& e) {
+    const std::string error = e.what();
+    EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error;
+    EXPECT_NE(error.find("no 'end' line"), std::string::npos) << error;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(NetlistIo, FileReaderErrorNamesThePath) {
+  const CellLibrary lib = CellLibrary::makeNode(TechNode::k7nm);
+  std::stringstream written;
+  netlist::io::writeNetlist(buildPlacedDesign(lib, "arm9", 0.1f), written);
+  const std::string path = writeTempFile(
+      "dagt_bad.dagtnl",
+      mutateLines(written.str(), firstLine("net ", [](const std::string&) {
+                    return std::string("net x");
+                  })));
+  try {
+    netlist::io::readNetlistFile(path, lib);
+    ADD_FAILURE() << "malformed netlist accepted";
+  } catch (const CheckError& e) {
+    const std::string error = e.what();
+    EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error;
+    EXPECT_NE(error.find("malformed 'net x'"), std::string::npos) << error;
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

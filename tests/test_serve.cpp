@@ -131,6 +131,27 @@ TEST(PlacementFile, RejectsGarbage) {
   std::remove(path.c_str());
 }
 
+TEST(PlacementFile, ReaderErrorNamesPathAndLine) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "dagt_badline.dagtpl")
+          .string();
+  {
+    std::ofstream out(path);
+    out << "dagtpl 1\ndie 0 0 100 100\n\nmacro 1 2 three 4\n";
+  }
+  try {
+    readPlacementFile(path);
+    ADD_FAILURE() << "malformed macro line accepted";
+  } catch (const CheckError& e) {
+    const std::string error = e.what();
+    EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error;
+    EXPECT_NE(error.find("placement line 4: malformed rect line"),
+              std::string::npos)
+        << error;
+  }
+  std::remove(path.c_str());
+}
+
 // -- Model bundle ------------------------------------------------------------
 
 TEST(ModelBundle, SaveLoadPredictionsMatchTrainer) {

@@ -2,9 +2,11 @@
 // contract (edited predictions bitwise equal to a cold rebuild), cone-based
 // feature-cache invalidation exactness (edits outside an endpoint's cone
 // keep its cached artifacts — pointer-shared, not recomputed — while edits
-// inside invalidate it), commit/revert baselines, the metrics surface, and
-// a reader/writer stress that tools/verify.sh also runs under
-// ThreadSanitizer:
+// inside invalidate it), move exactness (re-binned mask footprints equal a
+// cold extraction; cones are shared by handle across snapshots),
+// commit/revert baselines, the metrics surface, and a reader/writer stress
+// that tools/verify.sh also runs under ThreadSanitizer (and the whole
+// suite under ASan/UBSan):
 //
 //   cmake -B build-tsan -S . -DDAGT_SANITIZE=thread
 //   cmake --build build-tsan --target dagt_whatif_tests
@@ -29,8 +31,10 @@
 #include "common/rng.hpp"
 #include "designgen/design_suite.hpp"
 #include "features/design_data.hpp"
+#include "features/path_extractor.hpp"
 #include "netlist/cell_library.hpp"
 #include "obs/trace.hpp"
+#include "place/layout_maps.hpp"
 #include "place/placer.hpp"
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_engine.hpp"
@@ -182,7 +186,7 @@ TEST(WhatIfSession, EditStreamMatchesColdRebuildBitwise) {
   };
 
   // One edit of each kind, parity after each: resize (pure cone update),
-  // move (re-extracted cones + image diff), buffer (structural rebuild).
+  // move (re-binned footprints + image diff), buffer (structural rebuild).
   const netlist::CellId toResize = findResizable(session.netlist());
   ASSERT_NE(toResize, netlist::kInvalidId);
   ASSERT_TRUE(session.resizeCell(toResize, /*up=*/true));
@@ -235,7 +239,8 @@ TEST(WhatIfSession, EditOutsideConeKeepsCachedEndpointsExactly) {
   ASSERT_NE(after.get(), before.get());
   int coveringEndpoints = 0;
   for (std::int64_t e = 0; e < numEndpoints; ++e) {
-    const auto& cone = after->data.paths()[static_cast<std::size_t>(e)].conePins;
+    const auto& cone =
+        *after->data.paths()[static_cast<std::size_t>(e)].conePins;
     if (std::find(cone.begin(), cone.end(), editedPin) == cone.end()) continue;
     ++coveringEndpoints;
     EXPECT_TRUE(dirty.count(e)) << "endpoint " << e
@@ -265,6 +270,205 @@ TEST(WhatIfSession, EditOutsideConeKeepsCachedEndpointsExactly) {
         << "kept endpoint " << e << " lost its shared image slot";
   }
   ASSERT_GT(kept, 0);
+}
+
+// -- Move exactness: shared cones, re-binned footprints ----------------------
+
+/// Every path of `snapshot` has the cone and mask footprint a cold
+/// PathExtractor::extract of `nl` computes.
+void expectPathsMatchColdExtraction(const serve::ServableDesign& snapshot,
+                                    const netlist::Netlist& nl,
+                                    const place::PlacementResult& placement,
+                                    const std::string& what) {
+  const place::LayoutMaps maps(nl, placement, dataConfig().imageResolution);
+  const auto cold = features::PathExtractor::extract(
+      nl, features::PathExtractor::pinBins(nl, maps));
+  const auto& paths = snapshot.data.paths();
+  ASSERT_EQ(paths.size(), cold.size()) << what;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    ASSERT_EQ(paths[i].endpoint, cold[i].endpoint) << what;
+    ASSERT_EQ(*paths[i].conePins, *cold[i].conePins)
+        << what << ": cone of endpoint " << i;
+    ASSERT_EQ(paths[i].maskBins, cold[i].maskBins)
+        << what << ": footprint of endpoint " << i;
+  }
+}
+
+/// Every path of `snapshot` shares its cone with `prior` (same handle).
+void expectConesShared(const serve::ServableDesign& snapshot,
+                       const serve::ServableDesign& prior,
+                       const std::string& what) {
+  const auto& paths = snapshot.data.paths();
+  ASSERT_EQ(paths.size(), prior.data.paths().size()) << what;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    ASSERT_EQ(paths[i].conePins.get(), prior.data.paths()[i].conePins.get())
+        << what << ": endpoint " << i << " copied its cone";
+  }
+}
+
+TEST(WhatIfMoveExactness, SeededEditStreamMatchesColdExtraction) {
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const Rect die = f.placement.dieArea;
+  const auto numCells = static_cast<std::uint64_t>(f.nl.numCells());
+  Rng rng(0x30fe);
+  auto prior = f.engine.currentSnapshot("wi");
+  ASSERT_NE(prior, nullptr);
+  int vacatedKept = 0;
+  int vacatedDropped = 0;
+  for (int step = 0; step < 24; ++step) {
+    // One to three edits per sync, so a cone can hold several moved cells.
+    const int edits = 1 + static_cast<int>(rng.uniformInt(3));
+    for (int k = 0; k < edits; ++k) {
+      if (rng.bernoulli(0.3)) {
+        (void)session.resizeCell(
+            static_cast<netlist::CellId>(rng.uniformInt(numCells)),
+            rng.bernoulli(0.5));
+        continue;
+      }
+      // Move a cell of a random cone, either anywhere or onto another cell
+      // of the same cone: stacked cells make later moves leave bins that
+      // the cone still covers.
+      const auto& paths = prior->data.paths();
+      const auto& cone = *paths[rng.uniformInt(paths.size())].conePins;
+      const auto cellAt = [&](const std::uint64_t i) {
+        return session.netlist().pin(cone[i]).cell;
+      };
+      const netlist::CellId cell = cellAt(rng.uniformInt(cone.size()));
+      const netlist::CellId onto = cellAt(rng.uniformInt(cone.size()));
+      if (cell == netlist::kInvalidId) continue;
+      session.moveCell(
+          cell, onto != netlist::kInvalidId && rng.bernoulli(0.5)
+                    ? session.netlist().cell(onto).location
+                    : Point{static_cast<float>(rng.uniform(die.lo.x, die.hi.x)),
+                            static_cast<float>(
+                                rng.uniform(die.lo.y, die.hi.y))});
+    }
+    const bool revert = step == 12;
+    if (revert) session.revert();
+    session.sync();
+    const auto snapshot = f.engine.currentSnapshot("wi");
+    const std::string what = "step " + std::to_string(step);
+    ASSERT_FALSE(session.lastSync().structuralRebuild) << what;
+    expectPathsMatchColdExtraction(*snapshot, session.netlist(), f.placement,
+                                   what);
+    expectConesShared(*snapshot, *prior, what);
+    // Tally the cone pins a sync re-binned: is the vacated bin still in
+    // the footprint (another cone pin covers it) or gone?
+    const auto& oldBins = prior->data.pinBins;
+    const auto& newBins = snapshot->data.pinBins;
+    for (const auto& path : snapshot->data.paths()) {
+      if (revert) break;  // the baseline snapshot, not a re-bin
+      for (const netlist::PinId p : *path.conePins) {
+        const std::int32_t vacated = oldBins[static_cast<std::size_t>(p)];
+        if (vacated == newBins[static_cast<std::size_t>(p)]) continue;
+        ++(std::binary_search(path.maskBins.begin(), path.maskBins.end(),
+                              vacated)
+               ? vacatedKept
+               : vacatedDropped);
+      }
+    }
+    prior = snapshot;
+  }
+  EXPECT_GT(vacatedKept, 0) << "no move left a covered bin behind";
+  EXPECT_GT(vacatedDropped, 0) << "no move emptied a bin of its cone";
+}
+
+/// A cell with a pin in some endpoint's cone, and whether another pin of
+/// that cone (not on the cell) sits in the same bin: the move case where
+/// the vacated bin stays in the footprint (`covered`) or leaves it.
+struct MoveCase {
+  std::size_t endpoint = 0;
+  netlist::PinId pin = netlist::kInvalidId;  // the cell's pin in the cone
+  netlist::CellId cell = netlist::kInvalidId;
+  std::int32_t bin = -1;
+};
+
+MoveCase findMoveCase(const serve::ServableDesign& snapshot,
+                      const netlist::Netlist& nl, const bool covered) {
+  const auto& bins = snapshot.data.pinBins;
+  const auto& paths = snapshot.data.paths();
+  for (std::size_t e = 0; e < paths.size(); ++e) {
+    const auto& cone = *paths[e].conePins;
+    for (const netlist::PinId p : cone) {
+      const netlist::CellId cell = nl.pin(p).cell;
+      if (cell == netlist::kInvalidId) continue;
+      const std::int32_t bin = bins[static_cast<std::size_t>(p)];
+      const bool others = std::any_of(
+          cone.begin(), cone.end(), [&](const netlist::PinId q) {
+            return nl.pin(q).cell != cell &&
+                   bins[static_cast<std::size_t>(q)] == bin;
+          });
+      if (others == covered) return {e, p, cell, bin};
+    }
+  }
+  return {};
+}
+
+/// Moves the case's cell to the die corner farthest from its bin, syncs,
+/// and returns the cell's new bin.
+std::int32_t moveAway(WhatIfSession& session, serve::PredictionEngine& engine,
+                      const MoveCase& c, const Rect& die) {
+  const std::int32_t res =
+      engine.currentSnapshot(session.key())->data.maps->resolution();
+  const bool lowHalf = c.bin / res < res / 2;
+  session.moveCell(c.cell, lowHalf ? die.hi : die.lo);
+  session.sync();
+  return engine.currentSnapshot(session.key())
+      ->data.pinBins[static_cast<std::size_t>(c.pin)];
+}
+
+TEST(WhatIfMoveExactness, VacatedBinStaysWhileAnotherConePinCoversIt) {
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const auto prior = f.engine.currentSnapshot("wi");
+  const MoveCase c = findMoveCase(*prior, session.netlist(), /*covered=*/true);
+  ASSERT_NE(c.cell, netlist::kInvalidId);
+  const std::int32_t newBin =
+      moveAway(session, f.engine, c, f.placement.dieArea);
+  ASSERT_NE(newBin, c.bin);
+  const auto snapshot = f.engine.currentSnapshot("wi");
+  expectPathsMatchColdExtraction(*snapshot, session.netlist(), f.placement,
+                                 "covered move");
+  expectConesShared(*snapshot, *prior, "covered move");
+  const auto& bins = snapshot->data.paths()[c.endpoint].maskBins;
+  EXPECT_TRUE(std::binary_search(bins.begin(), bins.end(), c.bin));
+  EXPECT_TRUE(std::binary_search(bins.begin(), bins.end(), newBin));
+}
+
+TEST(WhatIfMoveExactness, VacatedBinLeavesWhenNoOtherConePinCoversIt) {
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const auto prior = f.engine.currentSnapshot("wi");
+  const MoveCase c =
+      findMoveCase(*prior, session.netlist(), /*covered=*/false);
+  ASSERT_NE(c.cell, netlist::kInvalidId);
+  const std::int32_t newBin =
+      moveAway(session, f.engine, c, f.placement.dieArea);
+  ASSERT_NE(newBin, c.bin);
+  const auto snapshot = f.engine.currentSnapshot("wi");
+  expectPathsMatchColdExtraction(*snapshot, session.netlist(), f.placement,
+                                 "emptying move");
+  expectConesShared(*snapshot, *prior, "emptying move");
+  const auto& bins = snapshot->data.paths()[c.endpoint].maskBins;
+  EXPECT_FALSE(std::binary_search(bins.begin(), bins.end(), c.bin));
+  EXPECT_TRUE(std::binary_search(bins.begin(), bins.end(), newBin));
+}
+
+TEST(WhatIfMoveExactness, DieChangeRebuildsFootprintsCold) {
+  // Every pin's bin depends on the die, so a cone update with a new die
+  // cannot patch the prior pin-bin table and must take the cold path.
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  place::PlacementResult grown = f.placement;
+  grown.dieArea.hi.x += grown.dieArea.width();
+  serve::FeatureService::ConeUpdate update{
+      session.netlist(), f.node, grown, session.timing(), {}, {}, false};
+  const auto result =
+      f.engine.applyConeUpdate("wi", "grown", std::move(update));
+  EXPECT_TRUE(result.structuralRebuild);
+  expectPathsMatchColdExtraction(*result.design, session.netlist(), grown,
+                                 "grown die");
 }
 
 // -- Commit / revert ---------------------------------------------------------
