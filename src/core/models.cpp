@@ -151,52 +151,6 @@ OursModel::BatchForward OursModel::forward(const DesignBatch& batch,
   return out;
 }
 
-Tensor OursModel::embed(const DesignBatch& batch) const {
-  DAGT_CHECK_MSG(usesBayesianHead(), "embed() needs the Bayesian head");
-  Tensor u;
-  {
-    DAGT_TRACE_SCOPE("model/extract");
-    u = extractor_.extract(batch);
-  }
-  const auto split = [&] {
-    DAGT_TRACE_SCOPE("model/disentangle");
-    return disentangler_.forward(u);
-  }();
-  return tensor::concat1({split.nodeDependent, split.designDependent});
-}
-
-OursModel::HeadPrediction OursModel::headPredict(const Tensor& joint,
-                                                 const Tensor& preRouteNs,
-                                                 std::int32_t mcSamples,
-                                                 Rng& rng) const {
-  DAGT_CHECK_MSG(usesBayesianHead(), "headPredict() needs the Bayesian head");
-  DAGT_TRACE_SCOPE("model/head");
-  const BayesianHead::WeightDistribution q = bayesHead_->distribution(joint);
-  const auto prediction = bayesHead_->predict(joint, q, mcSamples, rng);
-  HeadPrediction out;
-  out.predictionNs =
-      applyBypass(prediction.mean, preRouteNs, bypass_).toVector();
-  out.rawMeanNs = prediction.mean.toVector();
-  const std::size_t n = out.rawMeanNs.size();
-  out.sigmaPs.assign(n, 0.0f);
-  // Population stddev over the raw samples (the bypass term cancels in
-  // every deviation, so this matches the spread of the bypassed samples).
-  for (const Tensor& sample : prediction.samples) {
-    const std::vector<float> values = sample.toVector();
-    for (std::size_t i = 0; i < n; ++i) {
-      const float dev = values[i] - out.rawMeanNs[i];
-      out.sigmaPs[i] += dev * dev;
-    }
-  }
-  if (!prediction.samples.empty()) {
-    for (auto& s : out.sigmaPs) {
-      s = std::sqrt(s / static_cast<float>(prediction.samples.size())) /
-          kLabelScale;  // ns -> ps
-    }
-  }
-  return out;
-}
-
 BayesianHead::WeightDistribution OursModel::prior(
     const Tensor& unThisNode, const Tensor& udAllNodes) const {
   DAGT_CHECK(usesBayesianHead());

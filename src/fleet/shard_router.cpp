@@ -186,14 +186,10 @@ std::int64_t ShardRouter::loadDesign(const std::string& key,
       primary->engine->loadDesign(key, std::move(netlist), node, placement,
                                   revision);
   const auto snapshot = primary->engine->currentSnapshot(key);
-  // Replicas share the primary's retrieval cache too (when the retrieval
-  // layer is on): a posterior computed on any owner is a candidate hit on
-  // every owner, so hedged or rebalanced traffic keeps its hit rate.
-  const auto cache = primary->engine->retrievalCache(key);
   for (Shard* shard : owners) {
     if (shard == primary) continue;
     if (!shard->healthy.load(std::memory_order_relaxed)) continue;
-    shard->engine->adoptDesign(key, node, revision, snapshot, cache);
+    shard->engine->adoptDesign(key, node, revision, snapshot);
   }
   {
     std::lock_guard<std::mutex> lock(topologyMutex_);
@@ -210,17 +206,9 @@ std::int64_t ShardRouter::adoptDesign(
   DAGT_CHECK_MSG(design != nullptr, "adoptDesign: null snapshot");
   std::vector<Shard*> owners = candidatesForLoad(key);
   DAGT_CHECK_MSG(!owners.empty(), "fleet has no shards");
-  // First healthy owner adopts, then the rest share its retrieval cache
-  // (null when the retrieval layer is off — plain adoption).
-  std::shared_ptr<retrieval::PredictionCache> cache;
-  bool first = true;
   for (Shard* shard : owners) {
     if (!shard->healthy.load(std::memory_order_relaxed)) continue;
-    shard->engine->adoptDesign(key, node, revision, design, cache);
-    if (first) {
-      cache = shard->engine->retrievalCache(key);
-      first = false;
-    }
+    shard->engine->adoptDesign(key, node, revision, design);
   }
   const std::int64_t endpoints = design->numEndpoints();
   {
@@ -355,21 +343,15 @@ std::int32_t ShardRouter::addShard() {
   // Engine calls run without the topology lock.
   for (const Move& move : moves) {
     std::shared_ptr<const serve::ServableDesign> snapshot;
-    std::shared_ptr<retrieval::PredictionCache> cache;
     for (const std::int32_t owner : move.before) {
       snapshot = shardAt(owner)->engine->currentSnapshot(move.key);
-      if (snapshot != nullptr) {
-        // Inherit the owner's retrieval cache with the snapshot, so the
-        // moved key keeps its accumulated posteriors on the new shard.
-        cache = shardAt(owner)->engine->retrievalCache(move.key);
-        break;
-      }
+      if (snapshot != nullptr) break;
     }
     const bool gains = std::find(move.after.begin(), move.after.end(), id) !=
                        move.after.end();
     if (gains && snapshot != nullptr) {
       fresh->engine->adoptDesign(move.key, move.info.node, move.info.revision,
-                                 snapshot, cache);
+                                 snapshot);
     }
   }
 

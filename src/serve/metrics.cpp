@@ -71,23 +71,6 @@ std::string MetricsSnapshot::renderTable() const {
     }
     table.addRow({"sta cone-size histogram", hist.empty() ? "-" : hist});
   }
-  if (retrievalEnabled) {
-    table.addRow({"retrieval hits", std::to_string(retrievalHits)});
-    table.addRow({"retrieval misses", std::to_string(retrievalMisses)});
-    table.addRow({"retrieval hit rate", TextTable::num(retrievalHitRate, 3)});
-    table.addRow({"retrieval rejects (dist)",
-                  std::to_string(retrievalRejectByDist)});
-    table.addRow({"retrieval rejects (sigma)",
-                  std::to_string(retrievalRejectBySigma)});
-    table.addRow({"retrieval inserts", std::to_string(retrievalInserts)});
-    table.addRow({"retrieval embed memo hits",
-                  std::to_string(retrievalEmbedMemoHits)});
-    table.addRow({"retrieval index size", std::to_string(retrievalIndexSize)});
-    table.addRow({"retrieval hit-path mean (us)",
-                  TextTable::num(retrievalHitMeanUs, 1)});
-    table.addRow({"retrieval miss-path mean (us)",
-                  TextTable::num(retrievalMissMeanUs, 1)});
-  }
   table.addRow({"fusion programs compiled",
                 std::to_string(fusionProgramsCompiled)});
   table.addRow({"fusion cache hits", std::to_string(fusionCacheHits)});
@@ -158,18 +141,6 @@ JsonValue MetricsSnapshot::toJson() const {
         .set("sta_pins_visited_last", staPinsVisitedLast)
         .set("sta_pins_visited_total", staPinsVisitedTotal)
         .set("sta_cone_hist", std::move(hist));
-  }
-  if (retrievalEnabled) {
-    j.set("retrieval_hits", retrievalHits)
-        .set("retrieval_misses", retrievalMisses)
-        .set("retrieval_hit_rate", retrievalHitRate)
-        .set("retrieval_reject_by_dist", retrievalRejectByDist)
-        .set("retrieval_reject_by_sigma", retrievalRejectBySigma)
-        .set("retrieval_inserts", retrievalInserts)
-        .set("retrieval_embed_memo_hits", retrievalEmbedMemoHits)
-        .set("retrieval_index_size", retrievalIndexSize)
-        .set("retrieval_hit_mean_us", retrievalHitMeanUs)
-        .set("retrieval_miss_mean_us", retrievalMissMeanUs);
   }
   if (!traceSpans.empty()) {
     JsonValue spans = JsonValue::object();

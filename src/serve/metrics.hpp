@@ -54,22 +54,6 @@ struct MetricsSnapshot {
   /// Dirty-cone size histogram: bucket b counts incremental STA updates
   /// that visited at most 2^(b+1) pins (and more than 2^b for b > 0).
   std::vector<std::uint64_t> staConeHist;
-  /// Learned-prediction-cache counters (see src/retrieval/ and
-  /// docs/retrieval.md), aggregated over the engine's attached caches
-  /// (deduped when fleet replicas share one). The renderers emit the group
-  /// only when retrievalEnabled — i.e. at least one design carries a
-  /// cache — so cache-less engines keep their old output byte-for-byte.
-  bool retrievalEnabled = false;
-  std::uint64_t retrievalHits = 0;
-  std::uint64_t retrievalMisses = 0;        // every fall-through (incl. rejects)
-  double retrievalHitRate = 0.0;            // hits / probes, 0 if none
-  std::uint64_t retrievalRejectByDist = 0;  // nearest neighbor too far
-  std::uint64_t retrievalRejectBySigma = 0; // posterior too dispersed
-  std::uint64_t retrievalInserts = 0;
-  std::uint64_t retrievalEmbedMemoHits = 0; // embeddings reused, not recomputed
-  std::uint64_t retrievalIndexSize = 0;     // rows across attached indexes
-  double retrievalHitMeanUs = 0.0;          // all-hit batch latency
-  double retrievalMissMeanUs = 0.0;         // batches with >=1 fall-through
   /// Expression-fusion counters (process-wide, from tensor::expr::stats()):
   /// compiled-program cache behavior and fused-kernel launch mix of the
   /// serving forward. All zero when DAGT_FUSION=0.

@@ -1,5 +1,7 @@
 #include "serve/model_bundle.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -31,8 +33,38 @@ std::vector<netlist::TechNode> splitNodes(const std::string& joined) {
   while (std::getline(ss, item, ',')) {
     nodes.push_back(netlist::techNodeFromName(item));
   }
-  DAGT_CHECK_MSG(!nodes.empty(), "manifest has an empty vocabulary node list");
+  DAGT_CHECK_MSG(!nodes.empty(), "empty vocabulary node list");
   return nodes;
+}
+
+/// `token` as a whole-token integer: "64x" and "" are rejected, not
+/// truncated to their numeric prefix.
+std::int64_t parseInt(const std::string& token) {
+  std::int64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  DAGT_CHECK_MSG(ec == std::errc() && ptr == end && !token.empty(),
+                 "'" << token << "' is not an integer");
+  return value;
+}
+
+std::int64_t parseDim(const std::string& token) {
+  const std::int64_t value = parseInt(token);
+  DAGT_CHECK_MSG(value > 0, "dimension " << value << " is not positive");
+  return value;
+}
+
+/// A feature normalization constant: whole-token, finite and positive
+/// (every served feature is divided by it).
+float parseScale(const std::string& token) {
+  float value = 0.0f;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  DAGT_CHECK_MSG(ec == std::errc() && ptr == end && !token.empty(),
+                 "'" << token << "' is not a number");
+  DAGT_CHECK_MSG(std::isfinite(value) && value > 0.0f,
+                 "scale " << token << " is not finite and positive");
+  return value;
 }
 
 }  // namespace
@@ -129,45 +161,68 @@ void ModelBundle::save(const core::TimingModel& model,
 
 ModelBundle ModelBundle::load(const std::string& dir) {
   const auto path = std::filesystem::path(dir);
-  std::ifstream in(path / kManifestFile);
+  const std::string manifestPath = (path / kManifestFile).string();
+  std::ifstream in(manifestPath);
   DAGT_CHECK_MSG(in.good(), dir << " has no " << kManifestFile
                                 << " (not a model bundle?)");
-  std::map<std::string, std::string> kv;
-  std::string key, value;
+  struct Field {
+    std::string value;
+    std::int64_t line = 0;
+  };
+  std::map<std::string, Field> kv;
   std::string line;
+  std::int64_t lineNo = 0;
   while (std::getline(in, line)) {
+    ++lineNo;
     if (line.empty()) continue;
     std::istringstream ls(line);
+    std::string key, value;
     ls >> key;
     std::getline(ls, value);
     if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-    kv[key] = value;
+    const auto [it, fresh] = kv.emplace(key, Field{value, lineNo});
+    DAGT_CHECK_MSG(fresh, manifestPath << " line " << lineNo << ": key '"
+                                       << key << "' duplicates line "
+                                       << it->second.line);
   }
-  const auto get = [&](const std::string& k) -> const std::string& {
+  // Parse one field; a failure is rethrown naming the manifest, the line
+  // and the key.
+  const auto field = [&](const std::string& k, auto&& parse) {
     const auto it = kv.find(k);
-    DAGT_CHECK_MSG(it != kv.end(), "manifest is missing key '" << k << "'");
-    return it->second;
+    DAGT_CHECK_MSG(it != kv.end(),
+                   manifestPath << ": missing key '" << k << "'");
+    try {
+      return parse(it->second.value);
+    } catch (const CheckError& e) {
+      throw CheckError(manifestPath + " line " +
+                       std::to_string(it->second.line) + ": key '" + k +
+                       "': " + e.what());
+    }
   };
-  DAGT_CHECK_MSG(
-      std::stoi(get("dagt_bundle")) == BundleManifest::kFormatVersion,
-      "unsupported bundle format version " << get("dagt_bundle"));
+  const auto text = [](const std::string& v) { return v; };
+  field("dagt_bundle", [](const std::string& v) {
+    const std::int64_t version = parseInt(v);
+    DAGT_CHECK_MSG(version == BundleManifest::kFormatVersion,
+                   "unsupported bundle format version " << version);
+    return version;
+  });
 
   ModelBundle bundle;
   BundleManifest& m = bundle.manifest_;
-  m.modelKind = get("model");
-  m.variant = get("variant");
-  m.strategy = get("strategy");
-  m.targetNode = netlist::techNodeFromName(get("target_node"));
-  m.vocabularyNodes = splitNodes(get("vocab_nodes"));
-  m.pinFeatureDim = std::stoll(get("pin_feature_dim"));
-  m.model.gnnHidden = std::stoll(get("gnn_hidden"));
-  m.model.cnnBaseChannels = std::stoll(get("cnn_base_channels"));
-  m.model.cnnDim = std::stoll(get("cnn_dim"));
-  m.model.imageResolution = std::stoll(get("image_resolution"));
-  m.model.headHidden = std::stoll(get("head_hidden"));
-  m.features.distanceScale = std::stof(get("distance_scale"));
-  m.features.capScale = std::stof(get("cap_scale"));
-  m.features.fanoutScale = std::stof(get("fanout_scale"));
+  m.modelKind = field("model", text);
+  m.variant = field("variant", text);
+  m.strategy = field("strategy", text);
+  m.targetNode = field("target_node", netlist::techNodeFromName);
+  m.vocabularyNodes = field("vocab_nodes", splitNodes);
+  m.pinFeatureDim = field("pin_feature_dim", parseDim);
+  m.model.gnnHidden = field("gnn_hidden", parseDim);
+  m.model.cnnBaseChannels = field("cnn_base_channels", parseDim);
+  m.model.cnnDim = field("cnn_dim", parseDim);
+  m.model.imageResolution = field("image_resolution", parseDim);
+  m.model.headHidden = field("head_hidden", parseDim);
+  m.features.distanceScale = field("distance_scale", parseScale);
+  m.features.capScale = field("cap_scale", parseScale);
+  m.features.fanoutScale = field("fanout_scale", parseScale);
 
   bundle.model_ = instantiate(m);
   bundle.model_->module().loadParameters((path / kWeightsFile).string());

@@ -58,7 +58,9 @@ class ModelBundle {
 
   /// Read a bundle directory and reconstruct the predictor with the saved
   /// weights. Throws CheckError on a missing/corrupt manifest, unknown
-  /// kind/variant, or weight-shape mismatch.
+  /// kind/variant, or weight-shape mismatch. Manifest numbers must be whole
+  /// tokens, dims positive and scales finite and positive; a key may appear
+  /// once. Manifest errors name the file, the line and the key.
   static ModelBundle load(const std::string& dir);
 
   /// Inspect a live model's concrete type (modelKind + variant fields).

@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "retrieval/prediction_cache.hpp"
 #include "serve/feature_service.hpp"
 #include "serve/metrics.hpp"
 #include "serve/model_bundle.hpp"
@@ -37,18 +36,6 @@ struct EngineConfig {
   bool batching = true;
   /// Monte-Carlo samples for Bayesian-head bundles on the batched path.
   std::int32_t mcSamples = 8;
-  /// Precompile the design's fused forward programs at loadDesign time
-  /// (one single-endpoint warm forward), so the first real query replays
-  /// cached programs instead of paying the expr/compile cost inline. The
-  /// design's GNN memo is filled at load time either way.
-  bool warmFusion = true;
-  /// Learned prediction cache (uncertainty-gated ANN retrieval over the
-  /// model's disentangled embeddings). Off by default; every knob comes
-  /// from DAGT_RETRIEVAL* (see retrieval::CacheConfig and
-  /// docs/retrieval.md). Only Bayesian-head "ours" bundles get a cache;
-  /// with enabled=false the serve path is bitwise identical to a build
-  /// without the retrieval layer.
-  retrieval::CacheConfig retrieval = retrieval::CacheConfig::fromEnv();
 };
 
 /// Long-lived, queryable inference service over trained model bundles.
@@ -120,15 +107,9 @@ class PredictionEngine {
   /// yet — this is how fleet replicas share one fingerprinted feature
   /// build instead of each paying extraction again (the snapshot is
   /// read-only, so sharing the shared_ptr across engines is safe).
-  /// `cache` optionally shares another engine's retrieval cache for this
-  /// key (fleet replicas adopt the primary's cache so a posterior computed
-  /// on any owner is a candidate hit on every owner). Ignored when the
-  /// retrieval layer is disabled or the bundle has no Bayesian head; when
-  /// null, the engine attaches its own cache under the usual rules.
   void adoptDesign(const std::string& key, netlist::TechNode node,
                    const std::string& revision,
-                   std::shared_ptr<const ServableDesign> design,
-                   std::shared_ptr<retrieval::PredictionCache> cache = nullptr);
+                   std::shared_ptr<const ServableDesign> design);
 
   /// Remove `key` from the routing table (fleet rebalance moved it away).
   /// Returns false if the key was not loaded. In-flight queries finish
@@ -137,12 +118,6 @@ class PredictionEngine {
 
   /// The snapshot currently routed for `key` (nullptr if not loaded).
   std::shared_ptr<const ServableDesign> currentSnapshot(
-      const std::string& key) const;
-
-  /// The retrieval cache attached to `key` (nullptr if not loaded, the
-  /// retrieval layer is disabled, or the bundle is not cacheable). Shared
-  /// with fleet replicas via adoptDesign's cache parameter.
-  std::shared_ptr<retrieval::PredictionCache> retrievalCache(
       const std::string& key) const;
 
   /// Predicted sign-off arrival (ps) of one endpoint. Blocks; coalesced
@@ -185,11 +160,6 @@ class PredictionEngine {
     std::shared_ptr<const ServableDesign> design;
     /// Shared by every ref to the key; kept across snapshot swaps.
     std::shared_ptr<GnnMemo> gnn;
-    /// Per-design learned prediction cache; null unless the retrieval
-    /// layer is enabled and the bundle has a Bayesian head. Survives
-    /// revision re-loads (the embedding space is the model's) and may be
-    /// shared across engines (fleet replicas).
-    std::shared_ptr<retrieval::PredictionCache> retrieval;
   };
   struct RequestGroup {
     DesignRef ref;
@@ -199,15 +169,12 @@ class PredictionEngine {
   };
 
   DesignRef designRef(const std::string& key) const;
-  /// Route `key` to `ref` while holding designsMutex_: attaches the
-  /// retrieval cache (`shared` overrides with another engine's) and the
-  /// GNN memo (kept when the key is re-loaded on the same bundle).
-  void registerLocked(const std::string& key, DesignRef& ref,
-                      std::shared_ptr<retrieval::PredictionCache> shared =
-                          nullptr);
-  /// Fill the design's GNN memo, then (warmFusion on and fusion enabled)
-  /// one single-endpoint warm forward so the design's fused programs are
-  /// compiled (and cached) before real traffic arrives.
+  /// Route `key` to `ref` while holding designsMutex_: attaches the GNN
+  /// memo (kept when the key is re-loaded on the same bundle).
+  void registerLocked(const std::string& key, DesignRef& ref);
+  /// Fill the design's GNN memo, then (fusion enabled) one single-endpoint
+  /// warm forward so the design's fused programs are compiled (and cached)
+  /// before real traffic arrives.
   void warmUp(const DesignRef& ref);
   /// The GNN output for ref's snapshot: the memo when it was computed from
   /// the same graph and feature storage, an incremental refresh when only
@@ -217,18 +184,6 @@ class PredictionEngine {
   /// Run one forward over the union of the groups' endpoints and fulfill
   /// their promises. noexcept-ish: failures land in the promises.
   void serveBatch(std::vector<RequestGroup> groups);
-  /// The retrieval-fronted variant of serveBatch's forward: embed (memoized
-  /// per snapshot), probe the cache, run the head only for the misses.
-  /// Called inside serveBatch's try block; only reached when the lead
-  /// design carries a cache.
-  void serveBatchRetrieval(std::vector<RequestGroup>& groups,
-                           core::OursModel& ours,
-                           const std::vector<std::int64_t>& combined);
-  /// Attach (or re-attach) the retrieval cache for `key` while holding
-  /// designsMutex_. `shared` overrides with another engine's cache.
-  void attachRetrievalLocked(
-      const std::string& key, DesignRef& ref,
-      std::shared_ptr<retrieval::PredictionCache> shared = nullptr);
   void workerLoop();
 
   EngineConfig config_;

@@ -398,20 +398,6 @@ void gemmRowsPacked(const float* a, const float* b, const float* /*packedB*/,
   gemmRows(a, b, c, rowBegin, rowEnd, k, m);
 }
 
-void dotTopkRows(const float* q, const float* rows, std::int64_t numRows,
-                 std::int64_t dim, std::int64_t rowStride,
-                 std::int64_t idBase, std::int32_t k, float* topScores,
-                 std::int64_t* topIds) {
-  // The per-row score is this tier's dotVec (lane-blocked, bitwise equal to
-  // scalar); the selection is the shared scalar fold, so the whole entry is
-  // bitwise identical across tiers.
-  for (std::int64_t r = 0; r < numRows; ++r) {
-    const float score = static_cast<float>(
-        dotVec(q, rows + r * rowStride, static_cast<std::size_t>(dim)));
-    detail::topkFold(score, idBase + r, k, topScores, topIds);
-  }
-}
-
 void segmentSumRows(const float* src, const std::int64_t* segment,
                     std::int64_t rows, std::int64_t cols, float* out) {
   // Serial over rows (the accumulation-order contract); 8-wide within a row,
@@ -457,7 +443,6 @@ const KernelTable& avx2Table() {
     x.gemmPackBSize = avx2::gemmPackBSize;
     x.gemmPackB = avx2::gemmPackB;
     x.gemmRowsPacked = avx2::gemmRowsPacked;
-    x.dotTopkRows = avx2::dotTopkRows;
     x.segmentSumRows = avx2::segmentSumRows;
     x.gatherRowsPtrs = avx2::gatherRowsPtrs;
     return x;

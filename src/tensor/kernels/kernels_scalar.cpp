@@ -160,17 +160,6 @@ void gemmRowsPacked(const float* a, const float* b, const float* /*packedB*/,
   gemmRows(a, b, c, rowBegin, rowEnd, k, m);
 }
 
-void dotTopkRows(const float* q, const float* rows, std::int64_t numRows,
-                 std::int64_t dim, std::int64_t rowStride,
-                 std::int64_t idBase, std::int32_t k, float* topScores,
-                 std::int64_t* topIds) {
-  for (std::int64_t r = 0; r < numRows; ++r) {
-    const float score = static_cast<float>(
-        dotVec(q, rows + r * rowStride, static_cast<std::size_t>(dim)));
-    detail::topkFold(score, idBase + r, k, topScores, topIds);
-  }
-}
-
 void segmentSumRows(const float* src, const std::int64_t* segment,
                     std::int64_t rows, std::int64_t cols, float* out) {
   detail::segmentSumRowsImpl(src, segment, rows, cols, out);
@@ -212,7 +201,6 @@ const KernelTable& scalarTable() {
     x.gemmPackBSize = scalar::gemmPackBSize;
     x.gemmPackB = scalar::gemmPackB;
     x.gemmRowsPacked = scalar::gemmRowsPacked;
-    x.dotTopkRows = scalar::dotTopkRows;
     x.segmentSumRows = scalar::segmentSumRows;
     x.gatherRowsPtrs = scalar::gatherRowsPtrs;
     return x;

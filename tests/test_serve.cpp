@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -199,6 +200,92 @@ TEST(ModelBundle, LoadRejectsCorruptManifest) {
   }
   EXPECT_THROW(ModelBundle::load(dir), CheckError);
   std::filesystem::remove_all(dir);
+}
+
+// -- Manifest reader ---------------------------------------------------------
+
+/// An untrained "ours" bundle written by save(), in a per-process directory
+/// (ctest runs every case as its own process, possibly in parallel).
+std::string scratchBundle() {
+  BundleManifest manifest = tinyManifest(tinyTrainConfig(), "Ours");
+  manifest.modelKind = "ours";
+  manifest.variant = "full";
+  const auto model = ModelBundle::instantiate(manifest);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("dagt_manifest_" + std::to_string(::getpid())))
+          .string();
+  ModelBundle::save(*model, manifest, dir);
+  return dir;
+}
+
+/// Rewrite the scratch bundle's manifest with `key`'s line set to `value`
+/// (or, with `duplicate`, a second `key value` line appended), load it, and
+/// check the error names the manifest, the edited line and the key.
+void expectManifestRejected(const std::string& key, const std::string& value,
+                            bool duplicate = false) {
+  const std::string dir = scratchBundle();
+  const std::string path = dir + "/manifest.dagtmf";
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::size_t edited = lines.size();
+  if (duplicate) {
+    lines.push_back(key + " " + value);
+  } else {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind(key + " ", 0) == 0) {
+        lines[i] = key + " " + value;
+        edited = i;
+      }
+    }
+    ASSERT_LT(edited, lines.size()) << "manifest has no '" << key << "' line";
+  }
+  {
+    std::ofstream out(path);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  try {
+    (void)ModelBundle::load(dir);
+    ADD_FAILURE() << "manifest line '" << key << " " << value << "' accepted";
+  } catch (const CheckError& e) {
+    const std::string error = e.what();
+    EXPECT_NE(error.find(path + " line " + std::to_string(edited + 1) + ":"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("key '" + key + "'"), std::string::npos) << error;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ModelBundle, ManifestRejectsTrailingJunkInDim) {
+  expectManifestRejected("gnn_hidden", "64x");
+}
+
+TEST(ModelBundle, ManifestRejectsTrailingJunkInVersion) {
+  expectManifestRejected("dagt_bundle", "1junk");
+}
+
+TEST(ModelBundle, ManifestRejectsNanScale) {
+  expectManifestRejected("distance_scale", "nan");
+}
+
+TEST(ModelBundle, ManifestRejectsNegativeScale) {
+  expectManifestRejected("cap_scale", "-5");
+}
+
+TEST(ModelBundle, ManifestRejectsDuplicateKey) {
+  expectManifestRejected("gnn_hidden", "32", /*duplicate=*/true);
+}
+
+TEST(ModelBundle, ManifestRejectsNonNumericDim) {
+  expectManifestRejected("cnn_dim", "abc");
+}
+
+TEST(ModelBundle, ManifestRejectsNegativeDim) {
+  expectManifestRejected("head_hidden", "-4");
 }
 
 // -- Feature service ---------------------------------------------------------

@@ -26,13 +26,7 @@
 #      every fleet/* trace span must appear (backticked) in docs/fleet.md,
 #      and every JSON key emitted via .set("...") in src/fleet/*.cpp must
 #      appear inside the GENERATED fleet-metrics-keys section of
-#      docs/metrics-reference.md;
-#   7. the retrieval operator handbook: every DAGT_RETRIEVAL* env knob,
-#      every retrieval/* trace span, and every retrieval_* metric key
-#      emitted by src/serve/metrics.cpp must appear (backticked) in
-#      docs/retrieval.md — the handbook re-documents its own slice of the
-#      global lists, so an operator never leaves the page to decode a
-#      counter or a knob.
+#      docs/metrics-reference.md.
 #
 # Span and env-var extraction prefers `dagt_analyze --dump spans|env` when
 # the binary has been built: the analyzer lexes the sources, so names that
@@ -283,58 +277,13 @@ if [[ -f "$REF" ]]; then
   done
 fi
 
-# --- 7. retrieval knobs, spans and metric keys -> docs/retrieval.md --------
-
-RETR=docs/retrieval.md
-
-# Like the fleet handbook, the retrieval handbook re-documents its slice
-# of the global lists (sections 1-3 already check them against the general
-# docs): DAGT_RETRIEVAL* knobs, retrieval/* spans, retrieval_* metrics.
-RETRENVS=$(grep -E '^DAGT_RETRIEVAL' <<<"${ENVVARS:-}" | sort -u)
-[[ -n "$RETRENVS" ]] || miss "no DAGT_RETRIEVAL* env knobs found (extraction broke?)"
-
-RETRSPANS=$(grep -E '^retrieval/' <<<"${SPANS:-}" | sort -u)
-[[ -n "$RETRSPANS" ]] || miss "no retrieval/* trace spans found (extraction broke?)"
-
-RETRKEYS=$(grep -ho '\.set("retrieval_[A-Za-z0-9_]*"' src/serve/metrics.cpp 2>/dev/null |
-  sed 's/.*("\([^"]*\)".*/\1/' | sort -u)
-[[ -n "$RETRKEYS" ]] || miss "no retrieval_* metric keys found in src/serve/metrics.cpp (extraction broke?)"
-
-if [[ "$SELFTEST" == 1 ]]; then
-  RETRENVS="$RETRENVS
-DAGT_RETRIEVAL_PHANTOM_KNOB"
-  RETRSPANS="$RETRSPANS
-retrieval/phantom_span"
-  RETRKEYS="$RETRKEYS
-retrieval_phantom_key"
-fi
-
-if [[ ! -f "$RETR" ]]; then
-  miss "$RETR does not exist"
-else
-  for var in $RETRENVS; do
-    grep -qF "\`${var}\`" "$RETR" ||
-      miss "retrieval knob '${var}' is not documented in $RETR"
-  done
-  for span in $RETRSPANS; do
-    grep -qF "\`${span}\`" "$RETR" ||
-      miss "retrieval span '${span}' is not documented in $RETR"
-  done
-  for key in $RETRKEYS; do
-    grep -qF "\`${key}\`" "$RETR" ||
-      miss "retrieval metric key '${key}' (src/serve/metrics.cpp) is not documented in $RETR"
-  done
-fi
-
 # --- verdict ---------------------------------------------------------------
 
 if [[ "$SELFTEST" == 1 ]]; then
   rc=0
   for phantom in phantom_tier_zz DAGT_PHANTOM_OPTION DAGT_PHANTOM_ENV \
     bench_phantom_target phantomcmd phantom-pass-zz \
-    DAGT_FLEET_PHANTOM_KNOB fleet/phantom_span fleet_phantom_key \
-    DAGT_RETRIEVAL_PHANTOM_KNOB retrieval/phantom_span \
-    retrieval_phantom_key; do
+    DAGT_FLEET_PHANTOM_KNOB fleet/phantom_span fleet_phantom_key; do
     case "$MISSED_NAMES" in
       *"'${phantom}'"*) ;;
       *)

@@ -37,9 +37,7 @@
 //       metrics are printed afterwards (--metrics-json writes them as
 //       JSON). Measured by bench_serve_throughput on a 4-vCPU Xeon
 //       (or1200, 408 endpoints): 5028.5 QPS single-request, 1901.4 QPS
-//       batched with 8 callers. DAGT_RETRIEVAL=1 additionally fronts
-//       Bayesian bundles with the learned prediction cache
-//       (docs/retrieval.md).
+//       batched with 8 callers.
 //
 //   dagt whatif <bundle> <netlist.dagtnl> <lib.dagtlib> [--pl F]
 //       [--edits FILE] [--repl] [--metrics-json F]
