@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/timing_gnn.hpp"
 #include "features/design_data.hpp"
 #include "tensor/tensor.hpp"
 
@@ -30,10 +29,10 @@ struct DesignBatch {
   /// the network then learns the routing/optimization correction rather
   /// than reproducing absolute magnitude from bounded embeddings.
   tensor::Tensor preRouteNs;
-  /// Optional precomputed GNN output over `design` (the serving engine's
-  /// per-design memo). When set, the extractor selects the endpoint rows
-  /// from it instead of running the GNN over the whole design.
-  std::shared_ptr<const TimingGnn::Output> gnn;
+  /// Optional precomputed GNN embedding rows of the batch's endpoints,
+  /// [B, hidden] (the serving engine reads them from its per-design memo).
+  /// When set, the extractor uses them instead of running the GNN.
+  tensor::Tensor gnnRows;
 };
 
 /// Batching front-end over a set of DesignData. Caches per-path masked

@@ -22,26 +22,25 @@ Tensor PathFeatureExtractor::extract(const DesignBatch& batch) const {
   DAGT_CHECK(batch.design != nullptr);
   const auto& design = *batch.design;
 
-  // GNN over the whole design once (or the batch's precomputed output);
-  // endpoint rows for the batch.
-  const Tensor graphEmb = [&] {
+  // Endpoint rows of the GNN embeddings: the batch's precomputed rows, or
+  // one GNN sweep over the whole design.
+  Tensor graphEmb = batch.gnnRows;
+  if (!graphEmb.defined()) {
     DAGT_TRACE_SCOPE("model/gnn");
-    TimingGnn::Output computed;
-    const TimingGnn::Output* gnnOut = batch.gnn.get();
-    if (gnnOut == nullptr) {
-      computed = gnn_.forward(*design.graph, design.pinFeatures);
-      gnnOut = &computed;
-    }
-    DAGT_CHECK_MSG(gnnOut->graph == design.graph.get(),
-                   "batch GNN output belongs to another pin graph");
+    const TimingGnn::Output gnnOut =
+        gnn_.forward(*design.graph, design.pinFeatures);
     std::vector<netlist::PinId> endpointPins;
     endpointPins.reserve(batch.endpointIdx.size());
     for (const std::int64_t e : batch.endpointIdx) {
       endpointPins.push_back(
           design.paths()[static_cast<std::size_t>(e)].endpoint);
     }
-    return TimingGnn::select(*gnnOut, endpointPins);
-  }();
+    graphEmb = TimingGnn::select(gnnOut, endpointPins);
+  }
+  DAGT_CHECK_MSG(
+      graphEmb.dim(0) == static_cast<std::int64_t>(batch.endpointIdx.size()),
+      "GNN rows " << graphEmb.dim(0) << " != batch endpoints "
+                  << batch.endpointIdx.size());
 
   // CNN over the batch of path-masked layout images.
   const Tensor layoutEmb = [&] {

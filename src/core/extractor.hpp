@@ -12,8 +12,8 @@ namespace dagt::core {
 /// where H is the design's heterogeneous pin graph and X the path-masked
 /// layout image set. The GNN runs once per design; the endpoint rows of a
 /// batch are then gathered and concatenated with the CNN embedding of each
-/// path's masked image. A batch carrying a precomputed GNN output skips
-/// the GNN and only selects its endpoint rows.
+/// path's masked image. A batch carrying precomputed GNN endpoint rows
+/// skips the GNN.
 class PathFeatureExtractor : public nn::Module {
  public:
   PathFeatureExtractor(std::int64_t pinFeatureDim, const ModelConfig& config,

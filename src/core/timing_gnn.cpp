@@ -1,7 +1,10 @@
 #include "core/timing_gnn.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
@@ -28,8 +31,7 @@ TimingGnn::TimingGnn(std::int64_t inputDim, std::int64_t hidden, Rng& rng)
 }
 
 TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
-                                     const Tensor& pinFeatures,
-                                     const Output* previous) const {
+                                     const Tensor& pinFeatures) const {
   DAGT_CHECK(pinFeatures.ndim() == 2);
   DAGT_CHECK_MSG(pinFeatures.dim(0) == graph.numPins(),
                  "pin feature rows " << pinFeatures.dim(0) << " != pins "
@@ -37,81 +39,15 @@ TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
   DAGT_CHECK_MSG(pinFeatures.dim(1) == inputDim_,
                  "pin feature dim " << pinFeatures.dim(1) << " != "
                                     << inputDim_);
-  if (previous != nullptr) {
-    DAGT_CHECK_MSG(previous->graph == &graph,
-                   "incremental GNN forward over a different pin graph");
-    DAGT_CHECK_MSG(!tensor::NoGradGuard::gradEnabled(),
-                   "incremental GNN forward is inference-only");
-    DAGT_CHECK(previous->pinFeatures.shape() == pinFeatures.shape());
-  }
   Output out;
   out.graph = &graph;
-  out.pinFeatures = pinFeatures;
   out.levelEmbeddings.reserve(static_cast<std::size_t>(graph.numLevels()));
-
-  // Pins whose feature row differs from the previous output's (all of them
-  // for a cold forward; none when both alias one buffer).
-  const auto numPins = static_cast<std::size_t>(graph.numPins());
-  std::vector<std::uint8_t> changed(numPins, previous == nullptr ? 1 : 0);
-  if (previous != nullptr &&
-      !previous->pinFeatures.sharesStorageWith(pinFeatures)) {
-    const auto inWidth = static_cast<std::size_t>(inputDim_);
-    const float* now = pinFeatures.data();
-    const float* before = previous->pinFeatures.data();
-    for (std::size_t p = 0; p < numPins; ++p) {
-      changed[p] = std::memcmp(now + p * inWidth, before + p * inWidth,
-                               inWidth * sizeof(float)) != 0;
-    }
-  }
-
-  // A row is dirty when its features changed or any fanin source is dirty;
-  // sources sit in earlier levels, so one sweep closes the set under fanout.
-  std::vector<std::vector<std::uint8_t>> dirty(
-      static_cast<std::size_t>(graph.numLevels()));
   std::vector<std::int64_t> rows;
-  const auto width = static_cast<std::size_t>(hidden_);
   for (std::int32_t level = 0; level < graph.numLevels(); ++level) {
-    const auto& pins = graph.pinsAtLevel(level);
-    auto& mark = dirty[static_cast<std::size_t>(level)];
-    mark.resize(pins.size());
-    for (std::size_t r = 0; r < pins.size(); ++r) {
-      mark[r] = changed[static_cast<std::size_t>(pins[r])];
-    }
-    for (const features::LevelEdges* edges :
-         {&graph.netEdgesInto(level), &graph.cellEdgesInto(level)}) {
-      for (std::size_t e = 0; e < edges->size(); ++e) {
-        const auto [srcLevel, srcRow] = edges->src[e];
-        if (dirty[static_cast<std::size_t>(srcLevel)]
-                 [static_cast<std::size_t>(srcRow)] != 0) {
-          mark[static_cast<std::size_t>(edges->dstLocal[e])] = 1;
-        }
-      }
-    }
-    rows.clear();
-    for (std::size_t r = 0; r < mark.size(); ++r) {
-      if (mark[r] != 0) rows.push_back(static_cast<std::int64_t>(r));
-    }
-    if (rows.empty()) {
-      // Clean level: share the previous tensor (levels are immutable).
-      out.levelEmbeddings.push_back(
-          previous->levelEmbeddings[static_cast<std::size_t>(level)]);
-      continue;
-    }
-    Tensor fresh =
-        levelRows(graph, level, rows, pinFeatures, out.levelEmbeddings);
-    out.rowsRecomputed += static_cast<std::int64_t>(rows.size());
-    if (rows.size() == pins.size()) {
-      out.levelEmbeddings.push_back(std::move(fresh));
-      continue;
-    }
-    // Patch the recomputed rows into a copy of the previous level.
-    Tensor merged =
-        previous->levelEmbeddings[static_cast<std::size_t>(level)].clone();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::memcpy(merged.data() + static_cast<std::size_t>(rows[i]) * width,
-                  fresh.data() + i * width, width * sizeof(float));
-    }
-    out.levelEmbeddings.push_back(std::move(merged));
+    rows.resize(graph.pinsAtLevel(level).size());
+    std::iota(rows.begin(), rows.end(), std::int64_t{0});
+    out.levelEmbeddings.push_back(
+        levelRows(graph, level, rows, pinFeatures, out.levelEmbeddings));
   }
   return out;
 }
@@ -194,6 +130,183 @@ Tensor TimingGnn::select(const Output& output,
     coords.push_back(output.graph->locate(p));
   }
   return tensor::gatherRowsMulti(output.levelEmbeddings, coords);
+}
+
+bool TimingGnn::Memo::update(std::shared_ptr<const features::PinGraph> graph,
+                             const Tensor& pinFeatures) {
+  DAGT_CHECK(graph != nullptr);
+  DAGT_CHECK_MSG(!tensor::NoGradGuard::gradEnabled(),
+                 "the GNN memo is inference-only");
+  if (graph != graph_) {
+    fill(std::move(graph), pinFeatures);
+    return true;
+  }
+  if (pinFeatures.sharesStorageWith(features_)) return false;
+  DAGT_CHECK(pinFeatures.shape() == features_.shape());
+
+  // Chunked diff: one compare per block of rows, row compares only inside
+  // a block that differs. Changed rows (and their fanout) go stale.
+  constexpr std::size_t kChunkRows = 64;
+  const auto numPins = static_cast<std::size_t>(graph_->numPins());
+  const auto width = static_cast<std::size_t>(pinFeatures.dim(1));
+  const float* now = pinFeatures.data();
+  const float* before = features_.data();
+  std::size_t firstStale = numPins;
+  for (std::size_t first = 0; first < numPins; first += kChunkRows) {
+    const std::size_t count = std::min(kChunkRows, numPins - first);
+    if (std::memcmp(now + first * width, before + first * width,
+                    count * width * sizeof(float)) == 0) {
+      continue;
+    }
+    for (std::size_t p = first; p < first + count; ++p) {
+      if (std::memcmp(now + p * width, before + p * width,
+                      width * sizeof(float)) == 0) {
+        continue;
+      }
+      const auto row =
+          static_cast<std::size_t>(rowOf(static_cast<netlist::PinId>(p)));
+      stale_[row] = 1;
+      firstStale = std::min(firstStale, row);
+    }
+  }
+  features_ = pinFeatures;
+
+  // Close under fanout. Every fanin source sits in an earlier level, so at
+  // a lower flat row: one ascending pass reaches all of the fanout.
+  for (std::size_t row = firstStale; row < numPins; ++row) {
+    for (auto i = static_cast<std::size_t>(faninStart_[row]);
+         i < static_cast<std::size_t>(faninStart_[row + 1]) && stale_[row] == 0;
+         ++i) {
+      stale_[row] = stale_[static_cast<std::size_t>(fanin_[i])];
+    }
+  }
+  return false;
+}
+
+void TimingGnn::Memo::fill(std::shared_ptr<const features::PinGraph> graph,
+                           const Tensor& pinFeatures) {
+  DAGT_CHECK_MSG(graph->numPins() + graph->totalNetEdges() +
+                         graph->totalCellEdges() <
+                     std::numeric_limits<std::int32_t>::max(),
+                 "pin graph too large for the GNN memo's 32-bit index");
+  levels_.clear();  // the old graph's embeddings go before the new ones come
+  levels_ = gnn_.forward(*graph, pinFeatures).levelEmbeddings;
+  const std::int32_t numLevels = graph->numLevels();
+  levelStart_.assign(static_cast<std::size_t>(numLevels) + 1, 0);
+  for (std::int32_t level = 0; level < numLevels; ++level) {
+    levelStart_[static_cast<std::size_t>(level) + 1] =
+        levelStart_[static_cast<std::size_t>(level)] +
+        static_cast<std::int64_t>(graph->pinsAtLevel(level).size());
+  }
+
+  // Fanin index: count per row, prefix-sum, then place each source.
+  const auto forEachEdge = [&](const auto& visit) {
+    for (std::int32_t level = 0; level < numLevels; ++level) {
+      const std::int64_t base = levelStart_[static_cast<std::size_t>(level)];
+      for (const features::LevelEdges* edges :
+           {&graph->netEdgesInto(level), &graph->cellEdgesInto(level)}) {
+        for (std::size_t e = 0; e < edges->size(); ++e) {
+          const auto [srcLevel, srcRow] = edges->src[e];
+          visit(static_cast<std::size_t>(base + edges->dstLocal[e]),
+                static_cast<std::int32_t>(
+                    levelStart_[static_cast<std::size_t>(srcLevel)] + srcRow));
+        }
+      }
+    }
+  };
+  const auto numPins = static_cast<std::size_t>(graph->numPins());
+  faninStart_.assign(numPins + 1, 0);
+  forEachEdge([&](std::size_t dst, std::int32_t) { ++faninStart_[dst + 1]; });
+  for (std::size_t r = 0; r < numPins; ++r) {
+    faninStart_[r + 1] += faninStart_[r];
+  }
+  fanin_.resize(static_cast<std::size_t>(faninStart_.back()));
+  std::vector<std::int32_t> next(faninStart_.begin(), faninStart_.end() - 1);
+  forEachEdge([&](std::size_t dst, std::int32_t src) {
+    fanin_[static_cast<std::size_t>(next[dst]++)] = src;
+  });
+
+  stale_.assign(numPins, 0);
+  graph_ = std::move(graph);
+  features_ = pinFeatures;
+}
+
+std::int64_t TimingGnn::Memo::refresh(
+    const std::vector<netlist::PinId>& pins) {
+  DAGT_CHECK_MSG(graph_ != nullptr, "GNN memo refreshed before update()");
+  // Walk back from the queried rows through stale rows only. A row is
+  // marked 2 once queued, so each is collected at most once.
+  std::vector<std::int64_t> need;
+  std::vector<std::int64_t> stack;
+  for (const netlist::PinId pin : pins) {
+    const std::int64_t row = rowOf(pin);
+    if (stale_[static_cast<std::size_t>(row)] != 1) continue;
+    stale_[static_cast<std::size_t>(row)] = 2;
+    stack.push_back(row);
+  }
+  while (!stack.empty()) {
+    const std::int64_t row = stack.back();
+    stack.pop_back();
+    need.push_back(row);
+    for (std::int32_t i = faninStart_[static_cast<std::size_t>(row)];
+         i < faninStart_[static_cast<std::size_t>(row) + 1]; ++i) {
+      const std::int32_t src = fanin_[static_cast<std::size_t>(i)];
+      if (stale_[static_cast<std::size_t>(src)] != 1) continue;
+      stale_[static_cast<std::size_t>(src)] = 2;
+      stack.push_back(src);
+    }
+  }
+  if (need.empty()) return 0;
+
+  // Flat rows sort level-major, so one pass splits them into levels; each
+  // level reads only earlier levels, which are patched by then.
+  std::sort(need.begin(), need.end());
+  const auto width = static_cast<std::size_t>(gnn_.hidden());
+  std::vector<std::int64_t> rows;
+  std::int32_t level = 0;
+  for (std::size_t i = 0; i < need.size();) {
+    while (need[i] >= levelStart_[static_cast<std::size_t>(level) + 1]) {
+      ++level;
+    }
+    const std::int64_t base = levelStart_[static_cast<std::size_t>(level)];
+    const std::int64_t end = levelStart_[static_cast<std::size_t>(level) + 1];
+    rows.clear();
+    for (; i < need.size() && need[i] < end; ++i) {
+      rows.push_back(need[i] - base);
+      stale_[static_cast<std::size_t>(need[i])] = 0;
+    }
+    const Tensor fresh =
+        gnn_.levelRows(*graph_, level, rows, features_, levels_);
+    Tensor& patched = levels_[static_cast<std::size_t>(level)];
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      std::memcpy(patched.data() + static_cast<std::size_t>(rows[r]) * width,
+                  fresh.data() + r * width, width * sizeof(float));
+    }
+  }
+  return static_cast<std::int64_t>(need.size());
+}
+
+Tensor TimingGnn::Memo::select(const std::vector<netlist::PinId>& pins) const {
+  DAGT_CHECK_MSG(graph_ != nullptr, "GNN memo selected before update()");
+  std::vector<std::pair<std::int32_t, std::int64_t>> coords;
+  coords.reserve(pins.size());
+  for (const netlist::PinId p : pins) {
+    DAGT_DCHECK_MSG(stale_[static_cast<std::size_t>(rowOf(p))] == 0,
+                    "GNN memo row of pin " << p << " selected while stale");
+    coords.push_back(graph_->locate(p));
+  }
+  return tensor::gatherRowsMulti(levels_, coords);
+}
+
+std::int64_t TimingGnn::Memo::staleRows() const {
+  return static_cast<std::int64_t>(
+      std::count_if(stale_.begin(), stale_.end(),
+                    [](std::uint8_t s) { return s != 0; }));
+}
+
+std::int64_t TimingGnn::Memo::rowOf(netlist::PinId pin) const {
+  const auto [level, row] = graph_->locate(pin);
+  return levelStart_[static_cast<std::size_t>(level)] + row;
 }
 
 }  // namespace dagt::core

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "features/pin_graph.hpp"
@@ -24,12 +25,11 @@ namespace dagt::core {
 /// compound exponentially over the tens of logic levels of a deep design.
 ///
 /// Because the sweep is levelized, a pin's embedding depends only on its
-/// own feature row and its fanin cone. forward() exploits that: given an
-/// earlier output over the same graph, it recomputes only the rows whose
-/// features changed plus their fanout, and shares every untouched level by
-/// handle. Every op on the path (GEMM, LayerNorm, gather, segment reduce)
-/// is row-independent under the kernel rounding contract, so an
-/// incremental forward is bitwise equal to a cold one.
+/// own feature row and its fanin cone. Memo exploits that for serving: it
+/// keeps one design's level embeddings and recomputes, per query, only the
+/// stale rows the queried pins read. Every op on the path (GEMM,
+/// LayerNorm, gather, segment reduce) is row-independent under the kernel
+/// rounding contract, so a refreshed row is bitwise equal to a cold one.
 class TimingGnn : public nn::Module {
  public:
   TimingGnn(std::int64_t inputDim, std::int64_t hidden, Rng& rng);
@@ -39,27 +39,68 @@ class TimingGnn : public nn::Module {
   struct Output {
     std::vector<tensor::Tensor> levelEmbeddings;
     const features::PinGraph* graph = nullptr;
-    /// The pin features the embeddings were computed from (a shared
-    /// handle, not a copy): the diff base of a later incremental forward.
-    tensor::Tensor pinFeatures;
-    /// Rows this forward computed; numPins() for a cold forward.
-    std::int64_t rowsRecomputed = 0;
   };
 
-  /// pinFeatures: [numPins, inputDim] in pin-id order. With `previous` (an
-  /// output over the same graph, inference only), a row is recomputed when
-  /// its feature row differs from previous->pinFeatures or any fanin
-  /// source was recomputed; all other rows and fully clean levels are
-  /// taken from `previous`. Without it every row is recomputed.
+  /// Cold forward over every pin. pinFeatures: [numPins, inputDim] in
+  /// pin-id order. The reference path: training, full-design prediction
+  /// and Memo's fill all run it.
   Output forward(const features::PinGraph& graph,
-                 const tensor::Tensor& pinFeatures,
-                 const Output* previous = nullptr) const;
+                 const tensor::Tensor& pinFeatures) const;
 
   /// Rows of the per-level embeddings for the given pins: [pins.size(), D].
   static tensor::Tensor select(const Output& output,
                                const std::vector<netlist::PinId>& pins);
 
   std::int64_t hidden() const { return hidden_; }
+
+  /// Demand-driven inference memo of one design's embeddings.
+  ///
+  /// update() points the memo at a snapshot. A new pin graph costs one
+  /// cold forward; a new feature tensor over the same graph is diffed
+  /// against the last one, and its changed rows are marked stale and
+  /// closed under fanout. refresh() then walks back from the queried pins
+  /// through stale rows only (a clean row's fanin is clean, since stale
+  /// rows are closed under fanout) and recomputes those rows level by
+  /// level, patching them in place. A query outside every stale cone
+  /// computes nothing; rows nobody queries stay stale across any number
+  /// of snapshots.
+  ///
+  /// The memo keys on handles it holds (the graph's shared_ptr and the
+  /// feature tensor's storage), so a freed and reused address can never
+  /// pass for the memoized snapshot. Not thread-safe: callers serialize.
+  class Memo {
+   public:
+    explicit Memo(const TimingGnn& gnn) : gnn_(gnn) {}
+
+    /// Point the memo at (graph, pinFeatures). Returns true when this ran
+    /// the cold forward (empty memo or another pin graph).
+    bool update(std::shared_ptr<const features::PinGraph> graph,
+                const tensor::Tensor& pinFeatures);
+    /// Recompute the stale rows the given pins read; returns how many.
+    std::int64_t refresh(const std::vector<netlist::PinId>& pins);
+    /// Rows of the given pins, [pins.size(), hidden]. Refresh them first.
+    tensor::Tensor select(const std::vector<netlist::PinId>& pins) const;
+
+    /// Rows marked stale and not yet recomputed.
+    std::int64_t staleRows() const;
+
+   private:
+    /// One cold forward over a new pin graph; builds the fanin index.
+    void fill(std::shared_ptr<const features::PinGraph> graph,
+              const tensor::Tensor& pinFeatures);
+    std::int64_t rowOf(netlist::PinId pin) const;
+
+    const TimingGnn& gnn_;
+    std::shared_ptr<const features::PinGraph> graph_;
+    tensor::Tensor features_;  // the feature tensor last diffed against
+    std::vector<tensor::Tensor> levels_;
+    /// Flat row index: level L's row r is row levelStart_[L] + r.
+    std::vector<std::int64_t> levelStart_;
+    /// Fanin sources of every flat row, both edge types (CSR).
+    std::vector<std::int32_t> faninStart_;
+    std::vector<std::int32_t> fanin_;
+    std::vector<std::uint8_t> stale_;  // by flat row
+  };
 
  private:
   /// Embeddings of the given rows of `level` ([rows.size(), hidden]),

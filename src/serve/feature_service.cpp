@@ -361,90 +361,95 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
   // maskedImage dilates the footprint by one bin, and dilate(A)∩B != ∅
   // iff A∩dilate(B) != ∅, so we dilate the *changed* bins once and test
   // the raw maskBins against that.
-  DAGT_TRACE_SCOPE("serve/cone_images");
-  const auto& oldImg = prior->data.maps->image();
-  const auto& newImg = data.maps->image();
-  DAGT_CHECK(oldImg.size() == newImg.size());
-  const std::int32_t res = data.maps->resolution();
-  const std::size_t plane = static_cast<std::size_t>(res) *
-                            static_cast<std::size_t>(res);
-  std::vector<std::uint8_t> nearChanged(plane, 0);
-  for (std::size_t i = 0; i < plane; ++i) {
-    bool changed = false;
-    for (std::size_t c = 0; c < 3 && !changed; ++c) {
-      changed = std::memcmp(&oldImg[c * plane + i], &newImg[c * plane + i],
-                            sizeof(float)) != 0;
-    }
-    if (!changed) continue;
-    const std::int32_t gx = static_cast<std::int32_t>(i) % res;
-    const std::int32_t gy = static_cast<std::int32_t>(i) / res;
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      for (std::int32_t dx = -1; dx <= 1; ++dx) {
-        const std::int32_t x = gx + dx;
-        const std::int32_t y = gy + dy;
-        if (x >= 0 && x < res && y >= 0 && y < res) {
-          nearChanged[static_cast<std::size_t>(y * res + x)] = 1;
+  std::vector<std::int64_t> imageDirty;
+  {
+    DAGT_TRACE_SCOPE("serve/cone_images");
+    const auto& oldImg = prior->data.maps->image();
+    const auto& newImg = data.maps->image();
+    DAGT_CHECK(oldImg.size() == newImg.size());
+    const std::int32_t res = data.maps->resolution();
+    const std::size_t plane = static_cast<std::size_t>(res) *
+                              static_cast<std::size_t>(res);
+    std::vector<std::uint8_t> nearChanged(plane, 0);
+    for (std::size_t i = 0; i < plane; ++i) {
+      bool changed = false;
+      for (std::size_t c = 0; c < 3 && !changed; ++c) {
+        changed = std::memcmp(&oldImg[c * plane + i], &newImg[c * plane + i],
+                              sizeof(float)) != 0;
+      }
+      if (!changed) continue;
+      const std::int32_t gx = static_cast<std::int32_t>(i) % res;
+      const std::int32_t gy = static_cast<std::int32_t>(i) / res;
+      for (std::int32_t dy = -1; dy <= 1; ++dy) {
+        for (std::int32_t dx = -1; dx <= 1; ++dx) {
+          const std::int32_t x = gx + dx;
+          const std::int32_t y = gy + dy;
+          if (x >= 0 && x < res && y >= 0 && y < res) {
+            nearChanged[static_cast<std::size_t>(y * res + x)] = 1;
+          }
         }
       }
     }
+
+    // Export is O(endpoints) shared-handle copies — the pixels themselves
+    // are never duplicated. Evicted slots are reset and refill lazily on
+    // first use (the image cache is thread-safe), so a sync pays for the
+    // images a follow-up query actually touches, not for every stale one.
+    std::vector<core::TimingDataset::ImageSlot> imported =
+        prior->dataset->exportImages(prior->data);
+    DAGT_CHECK(imported.size() == data.paths().size());
+    for (std::size_t i = 0; i < data.paths().size(); ++i) {
+      bool stale = maskStale[i] != 0;
+      if (!stale) {
+        for (const std::int32_t bin : data.paths()[i].maskBins) {
+          if (nearChanged[static_cast<std::size_t>(bin)]) {
+            stale = true;
+            break;
+          }
+        }
+      }
+      if (stale) {
+        imported[i].reset();
+        imageDirty.push_back(static_cast<std::int64_t>(i));
+      }
+    }
+    result.imagesRebuilt = static_cast<std::int64_t>(imageDirty.size());
+    result.imagesReused =
+        static_cast<std::int64_t>(data.paths().size()) - result.imagesRebuilt;
+    coneEndpointsEvicted_.fetch_add(
+        static_cast<std::uint64_t>(result.imagesRebuilt),
+        std::memory_order_relaxed);
+    coneEndpointsReused_.fetch_add(
+        static_cast<std::uint64_t>(result.imagesReused),
+        std::memory_order_relaxed);
+
+    servable->dataset = std::make_unique<core::TimingDataset>(
+        std::vector<const features::DesignData*>{&data});
+    servable->dataset->importImages(data, std::move(imported));
   }
 
-  // Export is O(endpoints) shared-handle copies — the pixels themselves
-  // are never duplicated. Evicted slots are reset and refill lazily on
-  // first use (the image cache is thread-safe), so a sync pays for the
-  // images a follow-up query actually touches, not for every stale one.
-  std::vector<core::TimingDataset::ImageSlot> imported =
-      prior->dataset->exportImages(prior->data);
-  DAGT_CHECK(imported.size() == data.paths().size());
-  std::vector<std::int64_t> imageDirty;
-  for (std::size_t i = 0; i < data.paths().size(); ++i) {
-    bool stale = maskStale[i] != 0;
-    if (!stale) {
-      for (const std::int32_t bin : data.paths()[i].maskBins) {
-        if (nearChanged[static_cast<std::size_t>(bin)]) {
-          stale = true;
+  {
+    DAGT_TRACE_SCOPE("serve/cone_dirty");
+    // An endpoint's prediction can move through its cone features (a dirty
+    // pin inside the cone) or through its masked image; everything else is
+    // bit-identical to the prior snapshot's prediction inputs.
+    std::vector<std::uint8_t> endpointDirty(data.paths().size(), 0);
+    for (const std::int64_t e : imageDirty) {
+      endpointDirty[static_cast<std::size_t>(e)] = 1;
+    }
+    for (std::size_t i = 0; i < data.paths().size(); ++i) {
+      if (endpointDirty[i]) continue;
+      for (const netlist::PinId p : *data.paths()[i].conePins) {
+        if (dirtyPin[static_cast<std::size_t>(p)]) {
+          endpointDirty[i] = 1;
           break;
         }
       }
     }
-    if (stale) {
-      imported[i].reset();
-      imageDirty.push_back(static_cast<std::int64_t>(i));
-    }
-  }
-  result.imagesRebuilt = static_cast<std::int64_t>(imageDirty.size());
-  result.imagesReused =
-      static_cast<std::int64_t>(data.paths().size()) - result.imagesRebuilt;
-  coneEndpointsEvicted_.fetch_add(
-      static_cast<std::uint64_t>(result.imagesRebuilt),
-      std::memory_order_relaxed);
-  coneEndpointsReused_.fetch_add(
-      static_cast<std::uint64_t>(result.imagesReused),
-      std::memory_order_relaxed);
-
-  servable->dataset = std::make_unique<core::TimingDataset>(
-      std::vector<const features::DesignData*>{&data});
-  servable->dataset->importImages(data, std::move(imported));
-
-  // An endpoint's prediction can move through its cone features (a dirty
-  // pin inside the cone) or through its masked image; everything else is
-  // bit-identical to the prior snapshot's prediction inputs.
-  std::vector<std::uint8_t> endpointDirty(data.paths().size(), 0);
-  for (const std::int64_t e : imageDirty) {
-    endpointDirty[static_cast<std::size_t>(e)] = 1;
-  }
-  for (std::size_t i = 0; i < data.paths().size(); ++i) {
-    if (endpointDirty[i]) continue;
-    for (const netlist::PinId p : *data.paths()[i].conePins) {
-      if (dirtyPin[static_cast<std::size_t>(p)]) {
-        endpointDirty[i] = 1;
-        break;
+    for (std::size_t i = 0; i < endpointDirty.size(); ++i) {
+      if (endpointDirty[i]) {
+        result.dirtyEndpoints.push_back(static_cast<std::int64_t>(i));
       }
-    }
-  }
-  for (std::size_t i = 0; i < endpointDirty.size(); ++i) {
-    if (endpointDirty[i]) {
-      result.dirtyEndpoints.push_back(static_cast<std::int64_t>(i));
     }
   }
 

@@ -163,25 +163,29 @@ void PredictionEngine::registerLocked(const std::string& key,
   const auto it = designs_.find(key);
   ref.gnn = it != designs_.end() && it->second.node == ref.node
                 ? it->second.gnn
-                : std::make_shared<GnnMemo>();
+                : std::make_shared<GnnMemo>(
+                      ref.node->bundle.model().extractor().gnn());
   designs_[key] = ref;
 }
 
 void PredictionEngine::warmUp(const DesignRef& ref) {
   tensor::NoGradGuard guard;
   tensor::Workspace workspace;
-  const std::shared_ptr<const core::TimingGnn::Output> gnn = gnnFor(ref);
-  if (!tensor::expr::fusionEnabled()) return;
-  if (ref.design->numEndpoints() <= 0) return;
+  const bool warmFusion =
+      tensor::expr::fusionEnabled() && ref.design->numEndpoints() > 0;
+  const std::vector<std::int64_t> probe =
+      warmFusion ? std::vector<std::int64_t>{0} : std::vector<std::int64_t>{};
+  tensor::Tensor rows = gnnRows(ref, probe);
+  if (!warmFusion) return;
   DAGT_TRACE_SCOPE("serve/warm_fusion");
   core::DesignBatch batch =
-      ref.design->dataset->batchFor(ref.design->data, {0});
-  batch.gnn = gnn;
+      ref.design->dataset->batchFor(ref.design->data, probe);
+  batch.gnnRows = std::move(rows);
   core::TimingModel& model = ref.node->bundle.model();
   if (auto* dac23 = dynamic_cast<core::Dac23Model*>(&model)) {
     (void)dac23->forwardBatch(batch);
   } else if (auto* ours = dynamic_cast<core::OursModel*>(&model)) {
-    Rng rng(batchSeed(ref.design->data.name, {0}));
+    Rng rng(batchSeed(ref.design->data.name, probe));
     (void)ours->forward(batch, config_.mcSamples, rng);
   }
 }
@@ -242,33 +246,26 @@ std::shared_ptr<const ServableDesign> PredictionEngine::currentSnapshot(
   return it == designs_.end() ? nullptr : it->second.design;
 }
 
-std::shared_ptr<const core::TimingGnn::Output> PredictionEngine::gnnFor(
-    const DesignRef& ref) {
+tensor::Tensor PredictionEngine::gnnRows(
+    const DesignRef& ref, const std::vector<std::int64_t>& endpoints) {
+  DAGT_TRACE_SCOPE("model/gnn");
   const features::DesignData& data = ref.design->data;
-  GnnMemo& memo = *ref.gnn;
-  std::shared_ptr<const core::TimingGnn::Output> previous;
-  {
-    std::lock_guard<std::mutex> lock(memo.memoMutex);
-    if (memo.graph == data.graph) previous = memo.output;
+  std::vector<netlist::PinId> pins;
+  pins.reserve(endpoints.size());
+  for (const std::int64_t e : endpoints) {
+    pins.push_back(data.paths()[static_cast<std::size_t>(e)].endpoint);
   }
-  if (previous != nullptr &&
-      previous->pinFeatures.sharesStorageWith(data.pinFeatures)) {
+  GnnMemo& gnn = *ref.gnn;
+  std::lock_guard<std::mutex> lock(gnn.memoMutex);
+  if (gnn.memo.update(data.graph, data.pinFeatures)) {
+    metrics_.recordGnnForward(
+        false, static_cast<std::uint64_t>(data.graph->numPins()));
+  } else if (const std::int64_t rows = gnn.memo.refresh(pins); rows > 0) {
+    metrics_.recordGnnForward(true, static_cast<std::uint64_t>(rows));
+  } else {
     metrics_.recordGnnMemoHit();
-    return previous;
   }
-  std::shared_ptr<const core::TimingGnn::Output> output;
-  {
-    DAGT_TRACE_SCOPE("model/gnn");
-    output = std::make_shared<const core::TimingGnn::Output>(
-        ref.node->bundle.model().extractor().gnn().forward(
-            *data.graph, data.pinFeatures, previous.get()));
-  }
-  metrics_.recordGnnForward(previous != nullptr,
-                            static_cast<std::uint64_t>(output->rowsRecomputed));
-  std::lock_guard<std::mutex> lock(memo.memoMutex);
-  memo.graph = data.graph;
-  memo.output = output;
-  return output;
+  return gnn.memo.select(pins);
 }
 
 PredictionEngine::DesignRef PredictionEngine::designRef(
@@ -368,7 +365,7 @@ void PredictionEngine::serveBatch(std::vector<RequestGroup> groups) {
       DAGT_TRACE_SCOPE("serve/batch_assembly");
       return design.dataset->batchFor(design.data, combined);
     }();
-    batch.gnn = gnnFor(ref);
+    batch.gnnRows = gnnRows(ref, combined);
     // Batch-assembly contract: one masked image of the manifest's trained
     // resolution per coalesced endpoint (feature-width agreement).
     const std::int64_t res = ref.node->bundle.manifest().model.imageResolution;

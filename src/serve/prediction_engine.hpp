@@ -46,11 +46,12 @@ struct EngineConfig {
 /// batches by a background batcher, bounded by maxBatch / maxWaitUs.
 ///
 /// The GNN half of the extractor depends only on the design snapshot, so
-/// the engine memoizes its per-level embeddings per design key: a repeat
-/// query on the same snapshot skips the GNN, and a what-if snapshot that
-/// kept the pin graph (applyConeUpdate, installSnapshot) refreshes only the
-/// rows downstream of changed pin features. The refresh is bitwise equal
-/// to a cold forward (see core::TimingGnn).
+/// the engine keeps one core::TimingGnn::Memo per design key, filled by one
+/// cold forward at load. A what-if snapshot that kept the pin graph
+/// (applyConeUpdate, installSnapshot) only marks its changed rows and their
+/// fanout stale; a query then recomputes just the stale rows its endpoints
+/// read, and a query outside every stale cone runs no GNN math at all.
+/// Refreshed rows are bitwise equal to a cold forward's.
 ///
 /// Determinism contract: predictDesign() reproduces the trainer's
 /// predictDesign() bit-for-bit (same full-design batch, same per-design
@@ -146,14 +147,14 @@ class PredictionEngine {
     ModelBundle bundle;
     std::unique_ptr<FeatureService> features;
   };
-  /// Per-design-key memo of the GNN output. Holds the pin graph and the
-  /// output (which holds its feature tensor), never the snapshot itself,
-  /// so a replaced snapshot is freed as soon as its queries finish.
+  /// Per-design-key GNN memo. It holds the pin graph and the feature
+  /// tensor it last diffed against, never the snapshot itself, so a
+  /// replaced snapshot's other artifacts are freed as soon as its queries
+  /// finish.
   struct GnnMemo {
+    explicit GnnMemo(const core::TimingGnn& gnn) : memo(gnn) {}
     std::mutex memoMutex;
-    std::shared_ptr<const features::PinGraph> graph;  // GUARDED_BY(memoMutex)
-    // GUARDED_BY(memoMutex)
-    std::shared_ptr<const core::TimingGnn::Output> output;
+    core::TimingGnn::Memo memo;  // GUARDED_BY(memoMutex)
   };
   struct DesignRef {
     NodeEntry* node = nullptr;
@@ -176,11 +177,13 @@ class PredictionEngine {
   /// warm forward so the design's fused programs are compiled (and cached)
   /// before real traffic arrives.
   void warmUp(const DesignRef& ref);
-  /// The GNN output for ref's snapshot: the memo when it was computed from
-  /// the same graph and feature storage, an incremental refresh when only
-  /// the features moved, a full forward otherwise. The forward runs outside
-  /// the memo lock; the result replaces the memo.
-  std::shared_ptr<const core::TimingGnn::Output> gnnFor(const DesignRef& ref);
+  /// GNN embedding rows of the given endpoints of ref's snapshot,
+  /// [endpoints.size(), hidden], read from the design's memo under its
+  /// mutex: the memo moves to the snapshot (a cold forward on a new pin
+  /// graph, a feature diff otherwise) and recomputes the stale rows the
+  /// endpoints read.
+  tensor::Tensor gnnRows(const DesignRef& ref,
+                         const std::vector<std::int64_t>& endpoints);
   /// Run one forward over the union of the groups' endpoints and fulfill
   /// their promises. noexcept-ish: failures land in the promises.
   void serveBatch(std::vector<RequestGroup> groups);

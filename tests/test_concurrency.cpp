@@ -247,8 +247,9 @@ TEST(ConcurrencyStress, RegistryMutationDuringQueries) {
 TEST(ConcurrencyStress, GnnMemoRefreshRacesSnapshotSwaps) {
   // Readers query one design while a writer swaps its snapshot between
   // what-if edits (applyConeUpdate: same pin graph, new features) and the
-  // base (installSnapshot, the revert path). Every batch refreshes or
-  // reuses the design's GNN memo; TSan judges the memo handoff.
+  // base (installSnapshot, the revert path). Every batch diffs the new
+  // snapshot into the design's GNN memo and refreshes the stale rows it
+  // reads; TSan judges the shared memo.
   ThreadCountGuard guard(4);
   auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8);
   const features::DesignData& reference = target7();
@@ -300,10 +301,14 @@ TEST(ConcurrencyStress, GnnMemoRefreshRacesSnapshotSwaps) {
       }
     });
   }
+  // The writer queries every endpoint of each edit, so each round reads
+  // some of the edit's stale rows whatever the readers happen to ask.
+  std::vector<std::int64_t> all(static_cast<std::size_t>(endpointCount));
+  std::iota(all.begin(), all.end(), std::int64_t{0});
   for (int round = 0; round < 6; ++round) {
     engine->applyConeUpdate("smallboom", "edit" + std::to_string(round),
                             edits[static_cast<std::size_t>(round % 2)]);
-    engine->predictEndpoint("smallboom", 0);
+    engine->predictEndpoints("smallboom", all);
     engine->installSnapshot("smallboom", "base", base);
   }
   stop.store(true, std::memory_order_release);

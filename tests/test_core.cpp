@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -185,21 +187,15 @@ void perturbParameters(const nn::Module& module, std::uint64_t seed) {
   }
 }
 
-/// Every level of two GNN outputs, bit for bit.
-void expectSameLevels(const TimingGnn::Output& a, const TimingGnn::Output& b) {
-  ASSERT_EQ(a.levelEmbeddings.size(), b.levelEmbeddings.size());
-  for (std::size_t l = 0; l < a.levelEmbeddings.size(); ++l) {
-    const Tensor& x = a.levelEmbeddings[l];
-    const Tensor& y = b.levelEmbeddings[l];
-    ASSERT_EQ(x.shape(), y.shape()) << "level " << l;
-    ASSERT_EQ(std::memcmp(x.data(), y.data(),
-                          static_cast<std::size_t>(x.numel()) * sizeof(float)),
-              0)
-        << "level " << l;
-  }
+/// Two row sets, bit for bit.
+void expectSameRows(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0);
 }
 
-/// The kernel tiers an incremental forward must match a cold one at.
+/// The kernel tiers a memo refresh must match a cold forward at.
 std::vector<tensor::kernels::Tier> parityTiers() {
   tensor::kernels::resetTier();
   std::vector<tensor::kernels::Tier> tiers = {tensor::kernels::Tier::kScalar};
@@ -209,38 +205,69 @@ std::vector<tensor::kernels::Tier> parityTiers() {
   return tiers;
 }
 
+std::vector<netlist::PinId> allPins(const features::PinGraph& graph) {
+  std::vector<netlist::PinId> pins(static_cast<std::size_t>(graph.numPins()));
+  std::iota(pins.begin(), pins.end(), netlist::PinId{0});
+  return pins;
+}
+
+/// Refresh every row of `memo` and compare it with a cold forward over
+/// `features`.
+void expectMemoMatchesCold(TimingGnn::Memo& memo, const TimingGnn& gnn,
+                           const features::PinGraph& graph,
+                           const Tensor& features) {
+  const std::vector<netlist::PinId> pins = allPins(graph);
+  memo.refresh(pins);
+  EXPECT_EQ(memo.staleRows(), 0);
+  expectSameRows(memo.select(pins),
+                 TimingGnn::select(gnn.forward(graph, features), pins));
+}
+
+/// `features` with the first column of each given pin's row bumped.
+Tensor bumpRows(const Tensor& features, const std::vector<netlist::PinId>& pins,
+                float by) {
+  Tensor edited = features.clone();
+  for (const netlist::PinId pin : pins) {
+    edited.data()[static_cast<std::int64_t>(pin) * edited.dim(1)] += by;
+  }
+  return edited;
+}
+
+/// A GNN with every parameter moved off its initial value, over target7().
+struct MemoFixture {
+  const features::DesignData& d = target7();
+  Rng rng{10};
+  TimingGnn gnn{d.pinFeatures.dim(1), 16, rng};
+  MemoFixture() { perturbParameters(gnn, 11); }
+};
+
 TEST(TimingGnn, IncrementalForwardMatchesColdBitwise) {
-  const auto& d = target7();
-  Rng rng(10);
-  TimingGnn gnn(d.pinFeatures.dim(1), 16, rng);
-  perturbParameters(gnn, 11);
+  MemoFixture f;
+  const features::DesignData& d = f.d;
   tensor::NoGradGuard noGrad;
   for (const auto tier : parityTiers()) {
     tensor::kernels::forceTier(tier);
-    const TimingGnn::Output base = gnn.forward(*d.graph, d.pinFeatures);
-    EXPECT_EQ(base.rowsRecomputed, d.graph->numPins());
+    TimingGnn::Memo memo(f.gnn);
+    EXPECT_TRUE(memo.update(d.graph, d.pinFeatures));
+    expectMemoMatchesCold(memo, f.gnn, *d.graph, d.pinFeatures);
 
-    // Same feature storage: nothing to recompute, every level shared.
-    const TimingGnn::Output same =
-        gnn.forward(*d.graph, d.pinFeatures, &base);
-    EXPECT_EQ(same.rowsRecomputed, 0);
-    for (std::size_t l = 0; l < base.levelEmbeddings.size(); ++l) {
-      EXPECT_TRUE(same.levelEmbeddings[l].sharesStorageWith(
-          base.levelEmbeddings[l]));
-    }
+    // Same graph and feature storage: nothing goes stale.
+    EXPECT_FALSE(memo.update(d.graph, d.pinFeatures));
+    EXPECT_EQ(memo.staleRows(), 0);
+    EXPECT_EQ(memo.refresh(allPins(*d.graph)), 0);
 
-    // A few edited rows: only their fanout is recomputed, and the result
-    // equals a cold forward over the edited features.
-    Tensor edited = d.pinFeatures.clone();
-    const std::int64_t width = edited.dim(1);
-    for (const std::int64_t pin : {std::int64_t{3}, d.graph->numPins() / 2}) {
-      edited.data()[pin * width] += 1.0f;
-    }
-    const TimingGnn::Output incremental =
-        gnn.forward(*d.graph, edited, &base);
-    EXPECT_GT(incremental.rowsRecomputed, 0);
-    EXPECT_LT(incremental.rowsRecomputed, d.graph->numPins());
-    expectSameLevels(incremental, gnn.forward(*d.graph, edited));
+    // A few edited rows: they and their fanout go stale, and a query of
+    // every pin recomputes exactly those, equal to a cold forward.
+    const Tensor edited =
+        bumpRows(d.pinFeatures,
+                 {3, static_cast<netlist::PinId>(d.graph->numPins() / 2)},
+                 1.0f);
+    EXPECT_FALSE(memo.update(d.graph, edited));
+    const std::int64_t stale = memo.staleRows();
+    EXPECT_GT(stale, 0);
+    EXPECT_LT(stale, d.graph->numPins());
+    EXPECT_EQ(memo.refresh(allPins(*d.graph)), stale);
+    expectMemoMatchesCold(memo, f.gnn, *d.graph, edited);
   }
   tensor::kernels::resetTier();
 }
@@ -263,33 +290,132 @@ TEST(TimingGnn, IncrementalRowsGetBiasesOfEdgeTypesTheyLack) {
   nl.connectSink(nl.addNet(pi), nl.cell(driven).inputPins.front());
   nl.connectSink(nl.addNet(nl.cell(floating).outputPin), nl.addPrimaryOutput());
   nl.connectSink(nl.addNet(nl.cell(driven).outputPin), nl.addPrimaryOutput());
-  const features::PinGraph graph(nl);
+  const auto graph = std::make_shared<const features::PinGraph>(nl);
 
   const netlist::PinId cellOnly = nl.cell(floating).outputPin;
   const netlist::PinId netOnly = nl.cell(driven).inputPins.front();
-  const std::int32_t level = graph.locate(cellOnly).first;
-  ASSERT_EQ(graph.locate(netOnly).first, level);
-  ASSERT_GT(graph.netEdgesInto(level).size(), 0u);
-  ASSERT_GT(graph.cellEdgesInto(level).size(), 0u);
+  const std::int32_t level = graph->locate(cellOnly).first;
+  ASSERT_EQ(graph->locate(netOnly).first, level);
+  ASSERT_GT(graph->netEdgesInto(level).size(), 0u);
+  ASSERT_GT(graph->cellEdgesInto(level).size(), 0u);
+  // The level holds two rows; an edit of one leaves the other clean.
+  ASSERT_EQ(graph->pinsAtLevel(level).size(), 2u);
 
   Rng rng(12);
   constexpr std::int64_t kDim = 6;
   TimingGnn gnn(kDim, 8, rng);
   perturbParameters(gnn, 13);
-  const Tensor features = Tensor::randn({graph.numPins(), kDim}, rng);
+  const Tensor features = Tensor::randn({graph->numPins(), kDim}, rng);
   tensor::NoGradGuard noGrad;
   for (const auto tier : parityTiers()) {
     tensor::kernels::forceTier(tier);
-    const TimingGnn::Output base = gnn.forward(graph, features);
+    TimingGnn::Memo memo(gnn);
+    memo.update(graph, features);
     for (const netlist::PinId pin : {cellOnly, netOnly}) {
-      Tensor edited = features.clone();
-      edited.data()[pin * kDim] += 0.5f;
-      const TimingGnn::Output incremental = gnn.forward(graph, edited, &base);
-      // The level holds two rows; only the edited one is recomputed there.
-      ASSERT_EQ(graph.pinsAtLevel(level).size(), 2u);
-      EXPECT_LT(incremental.rowsRecomputed, graph.numPins());
-      expectSameLevels(incremental, gnn.forward(graph, edited));
+      const Tensor edited = bumpRows(features, {pin}, 0.5f);
+      memo.update(graph, edited);
+      EXPECT_LT(memo.staleRows(), graph->numPins());
+      expectMemoMatchesCold(memo, gnn, *graph, edited);
+      memo.update(graph, features);
+      expectMemoMatchesCold(memo, gnn, *graph, features);
     }
+  }
+  tensor::kernels::resetTier();
+}
+
+TEST(TimingGnn, MemoQueriesAfterSeveralUnqueriedSnapshotsMatchCold) {
+  // Stale marks accumulate across snapshots nobody queried; one query then
+  // brings every row it reads to the latest snapshot.
+  MemoFixture f;
+  const features::DesignData& d = f.d;
+  const auto numPins = static_cast<netlist::PinId>(d.graph->numPins());
+  tensor::NoGradGuard noGrad;
+  for (const auto tier : parityTiers()) {
+    tensor::kernels::forceTier(tier);
+    TimingGnn::Memo memo(f.gnn);
+    memo.update(d.graph, d.pinFeatures);
+    Tensor features = d.pinFeatures;
+    for (const netlist::PinId pin : {netlist::PinId{5}, numPins / 3,
+                                     numPins / 2, numPins - 2}) {
+      features = bumpRows(features, {pin}, 0.75f);
+      memo.update(d.graph, features);
+    }
+    EXPECT_GT(memo.staleRows(), 0);
+    expectMemoMatchesCold(memo, f.gnn, *d.graph, features);
+  }
+  tensor::kernels::resetTier();
+}
+
+TEST(TimingGnn, MemoPingPongBetweenTwoFeatureTensorsMatchesCold) {
+  // The what-if revert path: the memo alternates between a base tensor and
+  // an edited one, diffing each against the other.
+  MemoFixture f;
+  const features::DesignData& d = f.d;
+  const Tensor edited = bumpRows(
+      d.pinFeatures, {7, static_cast<netlist::PinId>(d.graph->numPins() / 4)},
+      -0.5f);
+  const std::vector<netlist::PinId> endpoints = d.netlist.endpoints();
+  tensor::NoGradGuard noGrad;
+  for (const auto tier : parityTiers()) {
+    tensor::kernels::forceTier(tier);
+    TimingGnn::Memo memo(f.gnn);
+    memo.update(d.graph, d.pinFeatures);
+    for (int round = 0; round < 3; ++round) {
+      const Tensor& now = round % 2 == 0 ? edited : d.pinFeatures;
+      memo.update(d.graph, now);
+      memo.refresh(endpoints);
+      expectSameRows(memo.select(endpoints),
+                     TimingGnn::select(f.gnn.forward(*d.graph, now),
+                                       endpoints));
+    }
+    memo.update(d.graph, d.pinFeatures);
+    expectMemoMatchesCold(memo, f.gnn, *d.graph, d.pinFeatures);
+  }
+  tensor::kernels::resetTier();
+}
+
+TEST(TimingGnn, MemoQueryComputesOnlyTheStaleRowsItReads) {
+  // Endpoint 0's cone holds its whole fanin. An edit outside it leaves the
+  // endpoint's rows clean; an edit inside recomputes part of the graph.
+  MemoFixture f;
+  const features::DesignData& d = f.d;
+  const features::TimingPath& path = d.paths().front();
+  const std::vector<netlist::PinId>& cone = *path.conePins;
+  ASSERT_GT(cone.size(), 1u);
+  netlist::PinId outside = netlist::kInvalidId;
+  for (netlist::PinId p = 0; p < d.graph->numPins(); ++p) {
+    if (!std::binary_search(cone.begin(), cone.end(), p)) {
+      outside = p;
+      break;
+    }
+  }
+  ASSERT_NE(outside, netlist::kInvalidId);
+  const netlist::PinId inside =
+      cone.front() != path.endpoint ? cone.front() : cone.back();
+  const std::vector<netlist::PinId> query = {path.endpoint};
+  tensor::NoGradGuard noGrad;
+  for (const auto tier : parityTiers()) {
+    tensor::kernels::forceTier(tier);
+    TimingGnn::Memo memo(f.gnn);
+    memo.update(d.graph, d.pinFeatures);
+
+    const Tensor outsideEdit = bumpRows(d.pinFeatures, {outside}, 1.0f);
+    memo.update(d.graph, outsideEdit);
+    EXPECT_GT(memo.staleRows(), 0);
+    EXPECT_EQ(memo.refresh(query), 0);
+    expectSameRows(memo.select(query),
+                   TimingGnn::select(f.gnn.forward(*d.graph, outsideEdit),
+                                     query));
+
+    const Tensor insideEdit = bumpRows(outsideEdit, {inside}, 1.0f);
+    memo.update(d.graph, insideEdit);
+    const std::int64_t rows = memo.refresh(query);
+    EXPECT_GE(rows, 1);
+    EXPECT_LE(rows, d.graph->numPins() - 1);
+    EXPECT_GT(memo.staleRows(), 0);  // the outside edit's cone is untouched
+    expectSameRows(memo.select(query),
+                   TimingGnn::select(f.gnn.forward(*d.graph, insideEdit),
+                                     query));
   }
   tensor::kernels::resetTier();
 }

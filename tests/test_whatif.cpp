@@ -600,6 +600,26 @@ INSTANTIATE_TEST_SUITE_P(Tiers, GnnMemoParity, ::testing::Bool(),
                                                           : "active");
                          });
 
+/// An endpoint of `after` whose fanin cone holds a pin whose feature row
+/// differs from `before`'s: a query of it must refresh GNN rows.
+std::int64_t endpointInChangedFanout(const serve::ServableDesign& before,
+                                     const serve::ServableDesign& after) {
+  const tensor::Tensor& was = before.data.pinFeatures;
+  const tensor::Tensor& now = after.data.pinFeatures;
+  const auto width = static_cast<std::size_t>(now.dim(1));
+  const auto& paths = after.data.paths();
+  for (std::size_t e = 0; e < paths.size(); ++e) {
+    for (const netlist::PinId p : *paths[e].conePins) {
+      const auto row = static_cast<std::size_t>(p) * width;
+      if (std::memcmp(was.data() + row, now.data() + row,
+                      width * sizeof(float)) != 0) {
+        return static_cast<std::int64_t>(e);
+      }
+    }
+  }
+  return -1;
+}
+
 TEST(GnnMemo, CountersTrackHitsRefreshesAndRows) {
   SessionFixture f;
   WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
@@ -608,18 +628,26 @@ TEST(GnnMemo, CountersTrackHitsRefreshesAndRows) {
   EXPECT_EQ(snap.gnnFullForwards, 1u);
   EXPECT_EQ(snap.gnnRowsRecomputed, static_cast<std::uint64_t>(pins));
 
-  // Repeat queries on one snapshot skip the GNN.
+  // Repeat queries on one snapshot compute no GNN rows.
   session.predict({0, 1});
   session.predict({2});
   snap = f.engine.metrics();
   EXPECT_EQ(snap.gnnMemoHits, 2u);
   EXPECT_EQ(snap.gnnIncrementalRefreshes, 0u);
 
-  // A resize keeps the pin graph: one refresh of part of the rows.
+  // A resize keeps the pin graph. A query in the resized cell's fanout
+  // recomputes part of the rows, once: asking again is a hit.
+  const auto before = f.engine.currentSnapshot("wi");
   ASSERT_TRUE(session.resizeCell(findResizable(session.netlist()), true));
-  session.predict({0});
+  session.sync();
+  const std::int64_t downstream =
+      endpointInChangedFanout(*before, *f.engine.currentSnapshot("wi"));
+  ASSERT_GE(downstream, 0);
+  session.predict({downstream});
+  session.predict({downstream});
   snap = f.engine.metrics();
   EXPECT_EQ(snap.gnnIncrementalRefreshes, 1u);
+  EXPECT_EQ(snap.gnnMemoHits, 3u);
   EXPECT_EQ(snap.gnnFullForwards, 1u);
   EXPECT_GT(snap.gnnRowsRecomputed, static_cast<std::uint64_t>(pins));
   EXPECT_LT(snap.gnnRowsRecomputed, static_cast<std::uint64_t>(2 * pins));

@@ -26,7 +26,11 @@
 #      every fleet/* trace span must appear (backticked) in docs/fleet.md,
 #      and every JSON key emitted via .set("...") in src/fleet/*.cpp must
 #      appear inside the GENERATED fleet-metrics-keys section of
-#      docs/metrics-reference.md.
+#      docs/metrics-reference.md;
+#   7. README.md, docs/performance.md and the `dagt predict` header in
+#      tools/dagt_cli.cpp quote no `<number> QPS` figure: one run of a
+#      bench goes stale unseen, so they point to bench_serve_throughput
+#      and perfbench instead.
 #
 # Span and env-var extraction prefers `dagt_analyze --dump spans|env` when
 # the binary has been built: the analyzer lexes the sources, so names that
@@ -277,13 +281,46 @@ if [[ -f "$REF" ]]; then
   done
 fi
 
+# --- 7. no hand-carried QPS figures ---------------------------------------
+
+# check_qps <file> <first line> <text>: one miss per `<number> QPS` figure
+# in <text>, which starts at <first line> of <file>.
+check_qps() {
+  local hit
+  while IFS= read -r hit; do
+    [[ -n "$hit" ]] || continue
+    miss "QPS figure '${hit#*:}' at $1:$((${hit%%:*} + $2 - 1)) is hand-carried; point to bench_serve_throughput or perfbench instead"
+  done < <(grep -noE '[0-9][0-9.,]*[kM]? ?QPS' <<<"$3")
+}
+
+for doc in README.md docs/performance.md; do
+  if [[ -f "$doc" ]]; then
+    check_qps "$doc" 1 "$(cat "$doc")"
+  else
+    miss "$doc does not exist"
+  fi
+done
+# The predict subcommand's block of the usage header, up to the next one.
+PREDICT_LINE=$(grep -n '^//   dagt predict' tools/dagt_cli.cpp | head -1 | cut -d: -f1)
+PREDICT_HEADER=$(sed -n '/^\/\/   dagt predict/,/^\/\/   dagt [a-z]/p' tools/dagt_cli.cpp)
+if [[ -n "$PREDICT_LINE" && -n "$PREDICT_HEADER" ]]; then
+  check_qps tools/dagt_cli.cpp "$PREDICT_LINE" "$PREDICT_HEADER"
+else
+  miss "no 'dagt predict' header found in tools/dagt_cli.cpp (extraction broke?)"
+fi
+
+if [[ "$SELFTEST" == 1 ]]; then
+  check_qps phantom.md 1 "serves 9999.9 QPS on one run"
+fi
+
 # --- verdict ---------------------------------------------------------------
 
 if [[ "$SELFTEST" == 1 ]]; then
   rc=0
   for phantom in phantom_tier_zz DAGT_PHANTOM_OPTION DAGT_PHANTOM_ENV \
     bench_phantom_target phantomcmd phantom-pass-zz \
-    DAGT_FLEET_PHANTOM_KNOB fleet/phantom_span fleet_phantom_key; do
+    DAGT_FLEET_PHANTOM_KNOB fleet/phantom_span fleet_phantom_key \
+    "9999.9 QPS"; do
     case "$MISSED_NAMES" in
       *"'${phantom}'"*) ;;
       *)

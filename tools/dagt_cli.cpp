@@ -35,9 +35,8 @@
 //       trainer's in-process predictions) and prints a summary; with it,
 //       serves the listed endpoints through the batching queue. Serving
 //       metrics are printed afterwards (--metrics-json writes them as
-//       JSON). Measured by bench_serve_throughput on a 4-vCPU Xeon
-//       (or1200, 408 endpoints): 5028.5 QPS single-request, 1901.4 QPS
-//       batched with 8 callers.
+//       JSON). Serving throughput is measured by bench_serve_throughput
+//       and perfbench (perfbench/README.md), not quoted here.
 //
 //   dagt whatif <bundle> <netlist.dagtnl> <lib.dagtlib> [--pl F]
 //       [--edits FILE] [--repl] [--metrics-json F]

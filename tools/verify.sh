@@ -12,7 +12,8 @@
 #   bench     bench_micro_ops smoke run + BENCH JSON validation (tier table)
 #   fusion    bench_fusion smoke run — fused-vs-unfused bitwise parity,
 #             >= 1.2x interactive-forward speedup, <= 3 allocs/predict
-#   asan      ASan/UBSan build, tensor + concurrency + what-if suites
+#   asan      ASan/UBSan build, tensor + concurrency + what-if suites and
+#             the GNN memo tests (dagt_tests filtered to TimingGnn.*)
 #   tsan      ThreadSanitizer build, concurrency stress suite
 #   obs       ThreadSanitizer build, tracing-layer suite (dagt_obs_tests)
 #   whatif    ThreadSanitizer build of the what-if suite + bench_whatif
@@ -72,14 +73,18 @@ run_analyze() {
 }
 
 # The what-if suite runs here as well as under TSan: the incremental cone
-# update (pin-bin table patch, footprint re-bin) is index-heavy.
+# update (pin-bin table patch, footprint re-bin) is index-heavy. So is the
+# GNN memo's (level, row) bookkeeping and backward walk, whose unit tests
+# live in dagt_tests and run here filtered to TimingGnn.*.
 run_asan() {
   cmake -B build-asan -S . -DDAGT_SANITIZE="address;undefined" &&
     cmake --build build-asan -j "$JOBS" \
-      --target dagt_tensor_tests dagt_concurrency_tests dagt_whatif_tests &&
+      --target dagt_tensor_tests dagt_concurrency_tests dagt_whatif_tests \
+      dagt_tests &&
     ./build-asan/tests/dagt_tensor_tests &&
     ./build-asan/tests/dagt_concurrency_tests &&
-    ./build-asan/tests/dagt_whatif_tests
+    ./build-asan/tests/dagt_whatif_tests &&
+    ./build-asan/tests/dagt_tests --gtest_filter='TimingGnn.*'
 }
 
 run_tsan() {
